@@ -27,7 +27,6 @@ from .curves import (
     LinearPlateauCurve,
     PriceCurve,
     TabularCurve,
-    eval_curve,
     linear_curve,
     lower_envelope,
     tabular_curve,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ __all__ = [
     "total_availability",
 ]
 
-PriceTransform = Callable[[Fraction], Fraction]
-
-
 class InfeasibleDemandError(Exception):
     """Demand exceeds what the seller set can supply."""
 
@@ -61,17 +58,12 @@ class InfeasibleDemandError(Exception):
 
 @dataclass(frozen=True)
 class Seller:
-    """A supplier: price curve, stock limit (None = unlimited), position.
-
-    `fidelity` is the supplier's own reliability score; it is recorded but
-    does not enter seller ranking.
-    """
+    """A supplier: price curve, stock limit (None = unlimited), position."""
 
     id: str
     curve: PriceCurve
     availability: int | None = None
     position: Position = ORIGIN
-    fidelity: float = 0.0
 
     def __post_init__(self) -> None:
         if self.availability is not None and self.availability < 0:
@@ -124,10 +116,7 @@ class Allocation:
         return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
 
 
-def _build_allocation(
-    quantities: Sequence[tuple[Seller, int]],
-    transform: PriceTransform | None = None,
-) -> Allocation:
+def _build_allocation(quantities: Sequence[tuple[Seller, int]]) -> Allocation:
     entries = []
     for seller, q in sorted(quantities, key=lambda pair: pair[0].id):
         if q == 0:
@@ -141,14 +130,11 @@ def _build_allocation(
         )
     total_q = sum(e.quantity for e in entries)
     total_cost = sum(e.cost_cents for e in entries)
-    price = Fraction(total_cost, total_q)
-    if transform is not None:
-        price = transform(price)
     return Allocation(
         entries=tuple(entries),
         total_quantity=total_q,
         total_cost_cents=total_cost,
-        fair_unit_price_cents=price,
+        fair_unit_price_cents=Fraction(total_cost, total_q),
     )
 
 
@@ -161,17 +147,11 @@ def _sellers_by_id(sellers: Sequence[Seller]) -> dict[str, Seller]:
     return by_id
 
 
-def fair_unit_price(
-    allocation: Allocation,
-    sellers: Sequence[Seller],
-    transform: PriceTransform | None = None,
-) -> Fraction:
+def fair_unit_price(allocation: Allocation, sellers: Sequence[Seller]) -> Fraction:
     """Quantity-weighted mean price of an allocation, validated and exact.
 
     Each seller's curve is evaluated at the quantity allocated to that
     seller (volume discounts apply per supplier, not to the whole demand).
-    The optional `transform` hook applies a monotone map to the weighted
-    mean; the default is the identity.
     """
     if not allocation.entries:
         raise ValueError("allocation is empty")
@@ -188,8 +168,7 @@ def fair_unit_price(
             raise InfeasibleDemandError(entry.quantity, seller.availability)
         total_q += entry.quantity
         total_cost += entry.quantity * seller.curve.price_at(entry.quantity)
-    price = Fraction(total_cost, total_q)
-    return transform(price) if transform is not None else price
+    return Fraction(total_cost, total_q)
 
 
 def _check_feasible(sellers: Sequence[Seller], q: int) -> None:
@@ -278,9 +257,7 @@ def _reconstruct(
     return fills
 
 
-def optimal_allocation(
-    sellers: Sequence[Seller], q: int, transform: PriceTransform | None = None
-) -> Allocation:
+def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     """Minimum-total-cost split of q units across the sellers.
 
     Exact dynamic program, O(n * q * max availability); ties resolved toward
@@ -296,7 +273,7 @@ def optimal_allocation(
     if key[q] >= _INF:
         reachable = int(np.max(np.nonzero(key < _INF)[0]))
         raise InfeasibleDemandError(q, reachable)
-    return _build_allocation(_reconstruct(choices, ordered, q), transform)
+    return _build_allocation(_reconstruct(choices, ordered, q))
 
 
 @dataclass(frozen=True)
@@ -318,7 +295,6 @@ class FairPriceCurve:
 
     points: tuple[FairPricePoint, ...]
     q_feasible_max: int | None
-    method: str = "exact"
 
     def price_at(self, q: int) -> Fraction:
         _check_quantity(q)
@@ -337,7 +313,6 @@ def fair_price_curve(
     sellers: Sequence[Seller],
     q_max: int,
     method: str = "exact",
-    transform: PriceTransform | None = None,
 ) -> FairPriceCurve:
     """Sweep demands 1..q_max and record the chosen allocation per demand."""
     _check_quantity(q_max)
@@ -350,30 +325,20 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    points: list[FairPricePoint] = []
+    allocations: list[Allocation] = []
     if method == "exact" and q_cap >= 1:
         key, choices, ordered, _ = _dp_tables(sellers, q_cap)
         for q in range(1, q_cap + 1):
             if key[q] >= _INF:
                 break
-            alloc = _build_allocation(_reconstruct(choices, ordered, q), transform)
-            points.append(
-                FairPricePoint(q=q, price_cents=alloc.fair_unit_price_cents, allocation=alloc)
-            )
+            allocations.append(_build_allocation(_reconstruct(choices, ordered, q)))
     elif method == "greedy":
-        for q in range(1, q_cap + 1):
-            alloc = greedy_allocation(sellers, q)
-            if transform is not None:
-                alloc = Allocation(
-                    entries=alloc.entries,
-                    total_quantity=alloc.total_quantity,
-                    total_cost_cents=alloc.total_cost_cents,
-                    fair_unit_price_cents=transform(alloc.fair_unit_price_cents),
-                )
-            points.append(
-                FairPricePoint(q=q, price_cents=alloc.fair_unit_price_cents, allocation=alloc)
-            )
-    return FairPriceCurve(points=tuple(points), q_feasible_max=feasible_max, method=method)
+        allocations = [greedy_allocation(sellers, q) for q in range(1, q_cap + 1)]
+    points = tuple(
+        FairPricePoint(q=q, price_cents=alloc.fair_unit_price_cents, allocation=alloc)
+        for q, alloc in enumerate(allocations, start=1)
+    )
+    return FairPriceCurve(points=points, q_feasible_max=feasible_max)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,13 @@
 Subcommands: envelope, allocate, curve, fair-sim, experiment.  All output is
 data (CSV by default, JSON with --format json); plotting is left to any
 external tool.  Exit codes: 0 success, 2 input error, 3 infeasible model,
-4 internal invariant breach.  FAIR_ENGINE_THREADS caps the experiment
-fan-out (0 or 1 = serial); output bytes do not depend on it.
+4 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,14 +239,6 @@ def cmd_fair_sim(args) -> int:
     return EXIT_OK
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("FAIR_ENGINE_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def cmd_experiment(args) -> int:
     config = fileio.read_experiment_config(args.config)
     if args.seed is not None:
@@ -258,33 +247,21 @@ def cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     spec = config.population()
-    threads = _thread_cap()
-
-    def one(availability):
+    keep = []  # (availability, partial result) per entry that ran
+    for availability in config.availabilities:
         # failures are per entry: the rest of the list still runs
         try:
-            return run_experiment(spec, [availability], config.q_max, config.method)
+            partial = run_experiment(spec, [availability], config.q_max, config.method)
         except (ValueError, InfeasibleDemandError) as exc:
-            return exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one, config.availabilities))
-    else:
-        partials = [one(a) for a in config.availabilities]
-
-    keep = []
-    for availability, partial in zip(config.availabilities, partials):
-        if isinstance(partial, Exception):
             label = "unlimited" if availability is None else availability
-            print(f"availability={label} failed: {partial}", file=sys.stderr)
+            print(f"availability={label} failed: {exc}", file=sys.stderr)
         else:
-            keep.append(partial)
+            keep.append((availability, partial))
     if not keep:
         print("error: every availability entry failed", file=sys.stderr)
         return EXIT_INPUT
-    runs = tuple(run for partial in keep for run in partial.runs)
-    result = replace(keep[0], runs=runs)
+    runs = tuple(run for _, partial in keep for run in partial.runs)
+    result = replace(keep[0][1], runs=runs)
 
     for run in runs:
         for notice in run.notices:
@@ -292,9 +269,7 @@ def cmd_experiment(args) -> int:
 
     ext = "json" if args.format == "json" else "csv"
     comments = fileio.experiment_comments(config)
-    for availability, partial in zip(config.availabilities, partials):
-        if isinstance(partial, Exception):
-            continue
+    for availability, partial in keep:
         label = "unlimited" if availability is None else str(availability)
         header, rows = fileio.experiment_curve_rows(partial)
         name = out_dir / f"experiment_curves_{label}.{ext}"

@@ -32,7 +32,6 @@ __all__ = [
     "EnvelopeSegment",
     "linear_curve",
     "tabular_curve",
-    "eval_curve",
     "lower_envelope",
 ]
 
@@ -128,11 +127,6 @@ def tabular_curve(bands: Iterable[tuple[int, object]]) -> TabularCurve:
     """Build a step curve from (threshold, CU price) pairs."""
     parsed = tuple((int(t), cents(p)) for t, p in bands)
     return TabularCurve(bands=parsed)
-
-
-def eval_curve(curve: PriceCurve, q: int) -> Cents:
-    """Unit price in cents for a demand of q units (q >= 1)."""
-    return curve.price_at(q)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ seller.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -31,6 +32,7 @@ from .allocation import (
     fair_price_curve,
     optimal_allocation,
     optimal_demand,
+    total_availability,
 )
 from .geo import Position
 from .money import Cents, ratio
@@ -145,14 +147,15 @@ class BuyerOrder:
     join_time: float
     payment_timing: PaymentTiming = PaymentTiming.AFTER
     destination: Position | None = None
-    pickup_ref: str | None = None
     fidelity: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         if self.quantity < 1:
             raise ValueError("order quantity must be at least 1")
-        if self.max_wait <= 0:
-            raise ValueError("max wait must be positive")
+        if not math.isfinite(self.join_time):
+            raise ValueError("join time must be finite")
+        if not (math.isfinite(self.max_wait) and self.max_wait > 0):
+            raise ValueError("max wait must be positive and finite")
         fid = ratio(self.fidelity)
         if not 0 <= fid <= 1:
             raise ValueError("fidelity must be in [0, 1]")
@@ -167,8 +170,8 @@ class FairConfig:
     curve_horizon: int = 200
 
     def __post_init__(self) -> None:
-        if self.max_duration <= 0:
-            raise ValueError("max duration must be positive")
+        if not (math.isfinite(self.max_duration) and self.max_duration > 0):
+            raise ValueError("max duration must be positive and finite")
         margin = ratio(self.margin)
         discount = ratio(self.fidelity_discount)
         if margin < 0:
@@ -370,7 +373,7 @@ class Fair:
             raise ValueError(f"buyer {order.buyer_id} already joined {self.fair_id}")
 
         new_demand = self.demand + order.quantity
-        supply = _supply_limit(self._effective_sellers(ledger))
+        supply = total_availability(self._effective_sellers(ledger))
         if supply is not None and new_demand > supply:
             raise InfeasibleDemandError(new_demand, supply)
 
@@ -486,15 +489,6 @@ class Fair:
         return settlement
 
 
-def _supply_limit(sellers: Sequence[Seller]) -> int | None:
-    total = 0
-    for seller in sellers:
-        if seller.availability is None:
-            return None
-        total += seller.availability
-    return total
-
-
 def open_fair(
     product_id: str,
     sellers: Sequence[Seller],
@@ -512,7 +506,7 @@ def open_fair(
     if not sellers:
         raise ValueError(f"no sellers can supply product {product_id}")
     effective = sellers if ledger is None else ledger.effective_sellers(sellers)
-    supply = _supply_limit(effective)
+    supply = total_availability(effective)
     if supply is not None and supply < 1:
         raise ValueError(f"no remaining stock for product {product_id}")
     return Fair(

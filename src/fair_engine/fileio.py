@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -30,7 +31,6 @@ __all__ = [
     "ParseError",
     "read_sellers_csv",
     "parse_seller_rows",
-    "read_positions_csv",
     "parse_position_rows",
     "envelope_rows",
     "allocation_rows",
@@ -154,11 +154,6 @@ def parse_position_rows(
         trail = sorted(visits[buyer_id], key=lambda pair: pair[1])
         histories.append(PositionHistory(buyer_id=buyer_id, visits=tuple(trail)))
     return histories
-
-
-def read_positions_csv(path: str) -> list[PositionHistory]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return parse_position_rows(csv.reader(fh), source=path)
 
 
 # ---------------------------------------------------------------- writers
@@ -447,9 +442,14 @@ def read_scenario(path: str) -> Scenario:
             fidelity_discount=ratio(str(cfg_raw.get("fidelity_discount", "0.04"))),
             curve_horizon=int(cfg_raw.get("curve_horizon", FairConfig.curve_horizon)),
         )
+    except (TypeError, ValueError) as exc:
+        raise _scenario_error(path, f"config: {exc}") from None
+    try:
         opened_at = float(data.get("opened_at", 0.0))
     except (TypeError, ValueError) as exc:
-        raise _scenario_error(path, str(exc)) from None
+        raise _scenario_error(path, f"opened_at: {exc}") from None
+    if not math.isfinite(opened_at):
+        raise _scenario_error(path, "opened_at must be finite")
 
     events: list[ScenarioEvent] = []
     last_at = opened_at
@@ -460,6 +460,8 @@ def read_scenario(path: str) -> Scenario:
             at = float(raw["at"])
         except (TypeError, ValueError):
             raise _scenario_error(path, f"events[{i}]: bad timestamp") from None
+        if not math.isfinite(at):
+            raise _scenario_error(path, f"events[{i}]: timestamp must be finite")
         if at < last_at:
             raise _scenario_error(path, f"events[{i}]: timestamps must not decrease")
         last_at = at

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_min_cost
 
 from fair_engine.allocation import (
@@ -24,7 +26,7 @@ from fair_engine.allocation import (
     optimal_demand,
     total_availability,
 )
-from fair_engine.curves import LinearPlateauCurve, linear_curve, lower_envelope
+from fair_engine.curves import LinearPlateauCurve, TabularCurve, linear_curve, lower_envelope
 from fair_engine.synth import random_small_instances
 
 
@@ -81,12 +83,6 @@ class TestFairUnitPrice:
         )
         with pytest.raises(InfeasibleDemandError):
             fair_unit_price(alloc, sellers)
-
-    def test_transform_hook_applies_to_the_mean(self):
-        sellers = two_capped_sellers()
-        alloc = optimal_allocation(sellers, 3)
-        doubled = fair_unit_price(alloc, sellers, transform=lambda z: 2 * z)
-        assert doubled == Fraction(2000)
 
 
 class TestGreedyAllocation:
@@ -266,15 +262,6 @@ class TestFairPriceCurve:
                 for entry in point.allocation.entries:
                     assert entry.quantity <= caps[entry.seller_id]
 
-    def test_transform_hook_applies_on_both_methods(self):
-        sellers = two_capped_sellers()
-        double = lambda z: 2 * z
-        for method in ("exact", "greedy"):
-            plain = fair_price_curve(sellers, 4, method=method)
-            scaled = fair_price_curve(sellers, 4, method=method, transform=double)
-            for p, s in zip(plain.points, scaled.points):
-                assert s.price_cents == 2 * p.price_cents
-
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             fair_price_curve(two_capped_sellers(), 4, method="magic")
@@ -341,3 +328,41 @@ def test_total_availability():
     sellers = two_capped_sellers()
     assert total_availability(sellers) == 4
     assert total_availability(sellers + [Seller("C", linear_curve(5, 0, 5))]) is None
+
+
+@st.composite
+def small_curves(draw):
+    """A linear-plateau or a step curve in whole cents."""
+    if draw(st.booleans()):
+        p1 = draw(st.integers(100, 2000))
+        sat = draw(st.integers(1, p1))
+        return LinearPlateauCurve(p1, Fraction(draw(st.integers(0, 200)), 100), sat)
+    cuts = draw(st.lists(st.integers(2, 12), max_size=3, unique=True))
+    prices = draw(st.lists(st.integers(1, 2000), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1, unique=True))
+    return TabularCurve(tuple(zip([1] + sorted(cuts), sorted(prices, reverse=True))))
+
+
+@st.composite
+def small_markets(draw):
+    """Up to 4 sellers with stock <= 6, and a demand horizon <= 12."""
+    n = draw(st.integers(1, 4))
+    sellers = [
+        Seller(f"S{i}", draw(small_curves()), availability=draw(st.integers(0, 6)))
+        for i in range(n)
+    ]
+    return sellers, draw(st.integers(1, 12))
+
+
+@settings(deadline=None)
+@given(small_markets())
+def test_curve_price_is_plain_cost_over_quantity(market):
+    sellers, q_max = market
+    for method in ("exact", "greedy"):
+        for point in fair_price_curve(sellers, q_max, method=method).points:
+            alloc = point.allocation
+            assert alloc.total_quantity == point.q
+            assert point.price_cents == alloc.fair_unit_price_cents
+            assert point.price_cents == fair_unit_price(alloc, sellers)
+            if method == "exact":
+                assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)

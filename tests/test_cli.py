@@ -202,6 +202,23 @@ class TestFairSim:
         # both buyers share one destination and one seller: a single route
         assert len(plan) == 4  # 2 comments + header + 1 route
 
+    @pytest.mark.parametrize(
+        "events, config, where",
+        [
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+               "max_wait": float("nan")}], {}, "events[0]"),
+            ([], {"max_duration": float("inf")}, "config"),
+            ([{"at": float("nan"), "action": "advance"},
+              {"at": 5, "action": "advance"}], {}, "events[0]"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, events, config, where):
+        scenario = base_scenario(events)
+        scenario["config"].update(config)
+        assert main(["fair-sim", write_scenario(tmp_path, scenario),
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert where in capsys.readouterr().err
+
 
 EXPERIMENT_CFG = (
     "n_sellers = 6\nseed = 42\navailabilities = 3, unlimited\nq_max = 12\nmethod = exact\n"
@@ -254,21 +271,6 @@ class TestExperiment:
         assert (out1 / "experiment_curves_3.csv").read_text() != (
             out2 / "experiment_curves_3.csv"
         ).read_text()
-
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(EXPERIMENT_CFG, encoding="utf-8")
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        monkeypatch.setenv("FAIR_ENGINE_THREADS", "0")
-        assert main(["experiment", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("FAIR_ENGINE_THREADS", "4")
-        assert main(["experiment", str(cfg), "--out", str(out2)]) == 0
-        for name in (
-            "experiment_curves_3.csv",
-            "experiment_curves_unlimited.csv",
-            "experiment_summary.csv",
-        ):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "nope.cfg")]) == 2

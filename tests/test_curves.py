@@ -8,7 +8,6 @@ import pytest
 from fair_engine.curves import (
     LinearPlateauCurve,
     TabularCurve,
-    eval_curve,
     linear_curve,
     lower_envelope,
     tabular_curve,
@@ -22,26 +21,26 @@ PAPER_STACK_BANDS = [(1, "4.69"), (10, "4.19"), (30, "3.69"), (60, "3.09")]
 class TestLinearPlateau:
     def test_single_product_price(self):
         curve = linear_curve(100, 2, 60)
-        assert eval_curve(curve, 1) == 10000  # z(1) is the headline price
+        assert curve.price_at(1) == 10000  # z(1) is the headline price
 
     def test_slope_evaluation(self):
         curve = linear_curve(100, 2, 60)
-        assert eval_curve(curve, 11) == 8000  # 100 - 2*10 = 80
+        assert curve.price_at(11) == 8000  # 100 - 2*10 = 80
 
     def test_saturation_clamp(self):
         curve = linear_curve(100, 2, 60)
-        assert eval_curve(curve, 30) == 6000  # 100 - 58 < 60, clamps
+        assert curve.price_at(30) == 6000  # 100 - 58 < 60, clamps
 
     def test_exact_plateau_onset(self):
         curve = linear_curve(100, 2, 60)
-        assert eval_curve(curve, 21) == 6000  # 100 - 40 = 60 exactly
+        assert curve.price_at(21) == 6000  # 100 - 40 = 60 exactly
 
     def test_small_example(self):
-        assert eval_curve(linear_curve(10, 1, 8), 2) == 900
+        assert linear_curve(10, 1, 8).price_at(2) == 900
 
     def test_zero_rate_is_flat(self):
         curve = linear_curve(50, 0, 50)
-        assert eval_curve(curve, 1) == eval_curve(curve, 1000) == 5000
+        assert curve.price_at(1) == curve.price_at(1000) == 5000
 
     @pytest.mark.parametrize(
         "p1,rate,sat",
@@ -59,13 +58,13 @@ class TestLinearPlateau:
     @pytest.mark.parametrize("q", [0, -3])
     def test_rejects_non_positive_quantity(self, q):
         with pytest.raises(ValueError):
-            eval_curve(linear_curve(100, 2, 60), q)
+            linear_curve(100, 2, 60).price_at(q)
 
     def test_fractional_rate_rounds_to_cent_grid(self):
         # rate 0.333 CU/unit: at q=4 the exact value is 99.001 -> 9900 cents
         curve = linear_curve(100, "0.333", 60)
-        assert eval_curve(curve, 4) == 9900
-        assert eval_curve(curve, 2) == 9967  # 99.667
+        assert curve.price_at(4) == 9900
+        assert curve.price_at(2) == 9967  # 99.667
 
     def test_matches_formula_exactly_on_cent_grid(self):
         # when all parameters sit on the cent grid the evaluation is the
@@ -85,16 +84,16 @@ class TestLinearPlateau:
 class TestTabular:
     def test_paper_stack_bands(self):
         curve = tabular_curve(PAPER_STACK_BANDS)
-        assert eval_curve(curve, 5) == 469
-        assert eval_curve(curve, 10) == 419
-        assert eval_curve(curve, 29) == 419
-        assert eval_curve(curve, 60) == 309
+        assert curve.price_at(5) == 469
+        assert curve.price_at(10) == 419
+        assert curve.price_at(29) == 419
+        assert curve.price_at(60) == 309
 
     def test_band_boundaries(self):
         curve = tabular_curve(PAPER_STACK_BANDS)
         expected = {1: 469, 9: 469, 10: 419, 30: 369, 59: 369, 1000: 309}
         for q, price in expected.items():
-            assert eval_curve(curve, q) == price
+            assert curve.price_at(q) == price
 
     def test_rejects_empty_bands(self):
         with pytest.raises(ValueError):

@@ -443,3 +443,18 @@ class TestOrderValidation:
     def test_rejects_out_of_range_fidelity(self):
         with pytest.raises(ValueError):
             order("b1", 1, fidelity=2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_wait(self, value):
+        with pytest.raises(ValueError, match="max wait"):
+            order("b1", 1, max_wait=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_join_time(self, value):
+        with pytest.raises(ValueError, match="join time"):
+            order("b1", 1, join_time=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_duration(self, value):
+        with pytest.raises(ValueError, match="max duration"):
+            FairConfig(max_duration=value)

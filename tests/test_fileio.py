@@ -1,6 +1,7 @@
 """Tests for file formats: curve CSV, config, scenarios, writers."""
 
 import json
+import re
 
 import pytest
 
@@ -267,4 +268,21 @@ class TestScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(ParseError):
+            read_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"opened_at": float("nan")}, "opened_at"),
+            ({"config": {"max_duration": float("inf")}}, "config"),
+            ({"events": [{"at": float("nan"), "action": "advance"}]}, "events[0]"),
+            ({"events": [{"at": float("inf"), "action": "advance"}]}, "events[0]"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": float("nan")}]}, "events[0]"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, tmp_path, change, where):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(where)):
             read_scenario(str(path))
