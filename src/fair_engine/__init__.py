@@ -58,7 +58,6 @@ from .geo import (
     suggest_pickups,
 )
 from .synth import (
-    ExperimentResult,
     ExperimentRun,
     PopulationSpec,
     audit_greedy_vs_exact,

@@ -171,7 +171,12 @@ def fair_unit_price(allocation: Allocation, sellers: Sequence[Seller]) -> Fracti
     return Fraction(total_cost, total_q)
 
 
-def _check_feasible(sellers: Sequence[Seller], q: int) -> None:
+def _check_request(sellers: Sequence[Seller], q: int) -> None:
+    """Reject a bad demand, an empty or ambiguous seller set, or a shortfall."""
+    _check_quantity(q)
+    if not sellers:
+        raise ValueError("no sellers to allocate from")
+    _sellers_by_id(sellers)
     available = total_availability(sellers)
     if available is not None and q > available:
         raise InfeasibleDemandError(q, available)
@@ -185,11 +190,7 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     by seller id.  Each seller in rank order is drained to capacity until
     the demand is met.
     """
-    _check_quantity(q)
-    if not sellers:
-        raise ValueError("no sellers to allocate from")
-    _sellers_by_id(sellers)
-    _check_feasible(sellers, q)
+    _check_request(sellers, q)
 
     usable = [s for s in sellers if s.capacity(q) > 0]
     ranked = sorted(usable, key=lambda s: (s.curve.price_at(s.capacity(q)), s.id))
@@ -263,11 +264,7 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     Exact dynamic program, O(n * q * max availability); ties resolved toward
     fewest sellers used, then lexicographically smallest seller ids.
     """
-    _check_quantity(q)
-    if not sellers:
-        raise ValueError("no sellers to allocate from")
-    _sellers_by_id(sellers)
-    _check_feasible(sellers, q)
+    _check_request(sellers, q)
 
     key, choices, ordered, _ = _dp_tables(sellers, q)
     if key[q] >= _INF:

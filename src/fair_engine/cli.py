@@ -81,20 +81,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(args):
+def _write_file(path, header, rows, fmt, comments=()) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fileio.write_rows(header, rows, fh, fmt=fmt, comments=comments)
+
+
+def _emit(args, header, rows) -> None:
+    """Rows to the --out file, or to stdout without one."""
     if args.out:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
-        return fh, True
-    return sys.stdout, False
+        _write_file(args.out, header, rows, args.format)
+    else:
+        fileio.write_rows(header, rows, sys.stdout, fmt=args.format)
 
 
-def _emit(args, header, rows, comments=()) -> None:
-    fh, close = _open_out(args)
-    try:
-        fileio.write_rows(header, rows, fh, fmt=args.format, comments=comments)
-    finally:
-        if close:
-            fh.close()
+def _price_str(price_cents) -> str | None:
+    return None if price_cents is None else frac_str(price_cents)
+
+
+def _end_record(fair, at) -> dict:
+    return {
+        "event": "end",
+        "at": at,
+        "fair_id": fair.fair_id,
+        "status": fair.status.value,
+        "demand": fair.demand,
+    }
 
 
 def cmd_envelope(args) -> int:
@@ -171,42 +182,19 @@ def cmd_fair_sim(args) -> int:
                     "quantity": event.order.quantity,
                     "demand": prediction.demand,
                     "deadline": fair.deadline,
-                    "current_price": (
-                        frac_str(prediction.current_price_cents)
-                        if prediction.current_price_cents is not None
-                        else None
-                    ),
+                    "current_price": _price_str(prediction.current_price_cents),
                     "q_star": prediction.optimal.q_star,
                     "z_star": frac_str(prediction.optimal.z_star_cents),
-                    "what_if": [
-                        [q, frac_str(z) if z is not None else None]
-                        for q, z in prediction.what_if
-                    ],
+                    "what_if": [[q, _price_str(z)] for q, z in prediction.what_if],
                 }
             )
         status = fair.check_end(event.at, ledger=ledger)
         if status is not FairStatus.RUNNING:
-            records.append(
-                {
-                    "event": "end",
-                    "at": event.at,
-                    "fair_id": fair.fair_id,
-                    "status": status.value,
-                    "demand": fair.demand,
-                }
-            )
+            records.append(_end_record(fair, event.at))
 
     if fair.status is FairStatus.RUNNING:
         fair.check_end(fair.deadline, ledger=ledger)
-        records.append(
-            {
-                "event": "end",
-                "at": fair.deadline,
-                "fair_id": fair.fair_id,
-                "status": fair.status.value,
-                "demand": fair.demand,
-            }
-        )
+        records.append(_end_record(fair, fair.deadline))
 
     settlement = fair.settle(ledger=ledger)
     record = fileio.settlement_record(settlement)
@@ -216,11 +204,9 @@ def cmd_fair_sim(args) -> int:
     with open(out_dir / "events.jsonl", "w", encoding="utf-8", newline="") as fh:
         fileio.write_event_log(records, fh)
     header, rows = fileio.settlement_buyer_rows(settlement)
-    with open(out_dir / "settlement_buyers.csv", "w", encoding="utf-8", newline="") as fh:
-        fileio.write_rows(header, rows, fh, fmt=args.format)
+    _write_file(out_dir / "settlement_buyers.csv", header, rows, args.format)
     header, rows = fileio.settlement_seller_rows(settlement)
-    with open(out_dir / "settlement_sellers.csv", "w", encoding="utf-8", newline="") as fh:
-        fileio.write_rows(header, rows, fh, fmt=args.format)
+    _write_file(out_dir / "settlement_sellers.csv", header, rows, args.format)
 
     # shipping plan only when every settled buyer shipped somewhere concrete
     if settlement.allocation is not None and all(
@@ -247,21 +233,17 @@ def cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     spec = config.population()
-    keep = []  # (availability, partial result) per entry that ran
+    runs = []
     for availability in config.availabilities:
         # failures are per entry: the rest of the list still runs
         try:
-            partial = run_experiment(spec, [availability], config.q_max, config.method)
+            runs.append(run_experiment(spec, availability, config.q_max, config.method))
         except (ValueError, InfeasibleDemandError) as exc:
-            label = "unlimited" if availability is None else availability
+            label = fileio.availability_label(availability)
             print(f"availability={label} failed: {exc}", file=sys.stderr)
-        else:
-            keep.append((availability, partial))
-    if not keep:
+    if not runs:
         print("error: every availability entry failed", file=sys.stderr)
         return EXIT_INPUT
-    runs = tuple(run for _, partial in keep for run in partial.runs)
-    result = replace(keep[0][1], runs=runs)
 
     for run in runs:
         for notice in run.notices:
@@ -269,15 +251,13 @@ def cmd_experiment(args) -> int:
 
     ext = "json" if args.format == "json" else "csv"
     comments = fileio.experiment_comments(config)
-    for availability, partial in keep:
-        label = "unlimited" if availability is None else str(availability)
-        header, rows = fileio.experiment_curve_rows(partial)
+    for run in runs:
+        label = fileio.availability_label(run.availability)
+        header, rows = fileio.experiment_curve_rows(run)
         name = out_dir / f"experiment_curves_{label}.{ext}"
-        with open(name, "w", encoding="utf-8", newline="") as fh:
-            fileio.write_rows(header, rows, fh, fmt=args.format, comments=comments)
-    header, rows = fileio.experiment_summary_rows(result)
-    with open(out_dir / f"experiment_summary.{ext}", "w", encoding="utf-8", newline="") as fh:
-        fileio.write_rows(header, rows, fh, fmt=args.format, comments=comments)
+        _write_file(name, header, rows, args.format, comments)
+    header, rows = fileio.experiment_summary_rows(runs)
+    _write_file(out_dir / f"experiment_summary.{ext}", header, rows, args.format, comments)
     return EXIT_OK
 
 

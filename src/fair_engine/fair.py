@@ -325,9 +325,21 @@ class Fair:
             return list(self.sellers)
         return ledger.effective_sellers(self.sellers)
 
-    def _curve(self, ledger: SellerLedger | None, at_least: int = 0):
-        horizon = max(self.config.curve_horizon, at_least)
-        return fair_price_curve(self._effective_sellers(ledger), horizon)
+    def _outlook(
+        self, ledger: SellerLedger | None, demand: int, what_if: Sequence[int] = ()
+    ):
+        """Build the fair price curve out to `demand`; read its optimum and prices.
+
+        Returns the optimum, the price at `demand` and the (q, price) pairs
+        of `what_if`.  The optimum is None when no stock is left (empty
+        curve); a price is None where its demand lies outside the curve.
+        """
+        horizon = max(self.config.curve_horizon, demand)
+        curve = fair_price_curve(self._effective_sellers(ledger), horizon)
+        n = len(curve.points)
+        optimal = optimal_demand(curve) if n else None
+        prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
+        return optimal, prices[0], tuple(zip(what_if, prices[1:]))
 
     def predict(
         self,
@@ -338,15 +350,9 @@ class Fair:
         if self.status is not FairStatus.RUNNING:
             raise LifecycleError(f"fair {self.fair_id} is not running")
         demand = self.demand
-        curve = self._curve(ledger, at_least=demand)
-        if not curve.points:
+        optimal, current, probes = self._outlook(ledger, demand, what_if)
+        if optimal is None:
             raise InfeasibleDemandError(max(demand, 1), 0)
-        optimal = optimal_demand(curve)
-        current = curve.price_at(demand) if 1 <= demand <= len(curve.points) else None
-        probes = tuple(
-            (q, curve.price_at(q) if 1 <= q <= len(curve.points) else None)
-            for q in what_if
-        )
         return PricePrediction(
             demand=demand, current_price_cents=current, optimal=optimal, what_if=probes
         )
@@ -397,13 +403,11 @@ class Fair:
             return self.status
         demand = self.demand
         if demand >= 1:
-            curve = self._curve(ledger, at_least=demand)
-            if curve.points and demand <= len(curve.points):
-                optimal = optimal_demand(curve)
-                if demand >= optimal.q_star and (
-                    curve.price_at(demand) == optimal.z_star_cents
-                ):
-                    self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
+            optimal, current, _ = self._outlook(ledger, demand)
+            if current is not None and demand >= optimal.q_star and (
+                current == optimal.z_star_cents
+            ):
+                self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
         return self.status
 
     def settle(

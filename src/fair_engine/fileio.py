@@ -25,7 +25,7 @@ from .curves import Envelope, PriceCurve, linear_curve, tabular_curve
 from .fair import BuyerOrder, FairConfig, PaymentTiming, Settlement
 from .geo import COORDINATE_NOTE, Position, PositionHistory, ShippingPlan
 from .money import cu_str, frac_str, ratio, ratio_str
-from .synth import RNG_ALGORITHM, ExperimentResult, PopulationSpec
+from .synth import RNG_ALGORITHM, ExperimentRun, PopulationSpec
 
 __all__ = [
     "ParseError",
@@ -36,6 +36,7 @@ __all__ = [
     "allocation_rows",
     "fair_curve_rows",
     "curve_sweep_rows",
+    "availability_label",
     "experiment_curve_rows",
     "experiment_summary_rows",
     "shipping_plan_rows",
@@ -196,35 +197,35 @@ def curve_sweep_rows(
     return header, rows
 
 
-def _availability_str(availability: int | None) -> str:
+def availability_label(availability: int | None) -> str:
+    """How outputs name a per-seller stock: the number, or `unlimited`."""
     return "unlimited" if availability is None else str(availability)
 
 
-def experiment_curve_rows(result: ExperimentResult) -> tuple[list[str], list[Row]]:
+def experiment_curve_rows(run: ExperimentRun) -> tuple[list[str], list[Row]]:
     header = ["availability", "q", "z_exact", "z_greedy", "best_allocation"]
     rows = []
-    for run in result.runs:
-        avail = _availability_str(run.availability)
-        for pe, pg in zip(run.curve_exact.points, run.curve_greedy.points):
-            rows.append(
-                [
-                    avail,
-                    pe.q,
-                    frac_str(pe.price_cents),
-                    frac_str(pg.price_cents),
-                    pe.allocation.summary(),
-                ]
-            )
+    avail = availability_label(run.availability)
+    for pe, pg in zip(run.curve_exact.points, run.curve_greedy.points):
+        rows.append(
+            [
+                avail,
+                pe.q,
+                frac_str(pe.price_cents),
+                frac_str(pg.price_cents),
+                pe.allocation.summary(),
+            ]
+        )
     return header, rows
 
 
-def experiment_summary_rows(result: ExperimentResult) -> tuple[list[str], list[Row]]:
+def experiment_summary_rows(runs: Sequence[ExperimentRun]) -> tuple[list[str], list[Row]]:
     header = ["availability", "q_star", "z_star", "nonmonotone", "max_greedy_gap"]
     rows = []
-    for run in result.runs:
+    for run in runs:
         rows.append(
             [
-                _availability_str(run.availability),
+                availability_label(run.availability),
                 run.optimal.q_star,
                 frac_str(run.optimal.z_star_cents),
                 int(run.nonmonotone),
@@ -372,7 +373,6 @@ class ScenarioEvent:
     at: float
     action: str  # "join" or "advance"
     order: BuyerOrder | None = None
-    destination: Position | None = None
 
 
 @dataclass(frozen=True)
@@ -387,6 +387,13 @@ class Scenario:
 
 def _scenario_error(path: str, msg: str) -> ParseError:
     return ParseError(path, 1, msg)
+
+
+def _whole(value, name: str) -> int:
+    """A scenario integer: `2`, `2.0` and `"2"` pass; `2.9` and `true` do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def read_scenario(path: str) -> Scenario:
@@ -440,7 +447,9 @@ def read_scenario(path: str) -> Scenario:
             max_duration=float(cfg_raw.get("max_duration", FairConfig.max_duration)),
             margin=ratio(str(cfg_raw.get("margin", "0.05"))),
             fidelity_discount=ratio(str(cfg_raw.get("fidelity_discount", "0.04"))),
-            curve_horizon=int(cfg_raw.get("curve_horizon", FairConfig.curve_horizon)),
+            curve_horizon=_whole(
+                cfg_raw.get("curve_horizon", FairConfig.curve_horizon), "curve_horizon"
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise _scenario_error(path, f"config: {exc}") from None
@@ -473,13 +482,17 @@ def read_scenario(path: str) -> Scenario:
                 timing = PaymentTiming(str(raw.get("payment_timing", "after")))
                 if "history" in raw:
                     hist = raw["history"]
+                    if not isinstance(hist, dict):
+                        raise ValueError("history must be an object")
                     fidelity = fidelity_score(
                         BuyerHistory(
-                            purchases=int(hist.get("purchases", 0)),
+                            purchases=_whole(hist.get("purchases", 0), "purchases"),
                             payment_timing=PaymentTiming(
                                 str(hist.get("payment_timing", "after"))
                             ),
-                            social_actions=int(hist.get("social_actions", 0)),
+                            social_actions=_whole(
+                                hist.get("social_actions", 0), "social_actions"
+                            ),
                             join_earliness=float(hist.get("join_earliness", 0.0)),
                         )
                     )
@@ -491,7 +504,7 @@ def read_scenario(path: str) -> Scenario:
                     dest = Position(float(dx), float(dy))
                 order = BuyerOrder(
                     buyer_id=str(raw["buyer_id"]),
-                    quantity=int(raw["quantity"]),
+                    quantity=_whole(raw["quantity"], "quantity"),
                     max_wait=float(raw["max_wait"]),
                     join_time=at,
                     payment_timing=timing,
@@ -508,14 +521,22 @@ def read_scenario(path: str) -> Scenario:
         else:
             raise _scenario_error(path, f"events[{i}]: unknown action {action!r}")
 
-    what_if = tuple(int(q) for q in data.get("what_if", []))
+    raw_what_if = data.get("what_if", [])
+    if not isinstance(raw_what_if, list):
+        raise _scenario_error(path, "what_if must be a list")
+    what_if = []
+    for i, q in enumerate(raw_what_if):
+        try:
+            what_if.append(_whole(q, "demand"))
+        except (TypeError, ValueError) as exc:
+            raise _scenario_error(path, f"what_if[{i}]: {exc}") from None
     return Scenario(
         product_id=str(product_id),
         sellers=tuple(sellers),
         config=config,
         opened_at=opened_at,
         events=tuple(events),
-        what_if=what_if,
+        what_if=tuple(what_if),
     )
 
 
@@ -537,27 +558,13 @@ def write_event_log(records: Iterable[dict], fh: TextIO) -> None:
 
 
 def settlement_record(settlement: Settlement) -> dict:
+    buyer_header, buyer_rows = settlement_buyer_rows(settlement)
+    seller_header, seller_rows = settlement_seller_rows(settlement)
     return {
         "fair_id": settlement.fair_id,
         "allocation": settlement.allocation.summary() if settlement.allocation else "",
-        "buyers": [
-            {
-                "buyer_id": c.buyer_id,
-                "q": c.quantity,
-                "unit_price": frac_str(c.unit_price_cents),
-                "total": frac_str(c.total_cents),
-            }
-            for c in settlement.buyer_charges
-        ],
-        "sellers": [
-            {
-                "seller_id": p.seller_id,
-                "q": p.quantity,
-                "unit_price": cu_str(p.unit_price_cents),
-                "payment": cu_str(p.payment_cents),
-            }
-            for p in settlement.seller_payments
-        ],
+        "buyers": [dict(zip(buyer_header, row)) for row in buyer_rows],
+        "sellers": [dict(zip(seller_header, row)) for row in seller_rows],
         "buyers_total": frac_str(settlement.buyers_total_cents),
         "sellers_total": cu_str(settlement.sellers_total_cents),
         "manager_revenue": frac_str(settlement.manager_revenue_cents),

@@ -194,7 +194,6 @@ class ShippingRoute:
 class ShippingPlan:
     routes: tuple[ShippingRoute, ...]
     total_cost_cents: Cents
-    coordinate_note: str = COORDINATE_NOTE
 
 
 def shipping_plan(

@@ -62,13 +62,6 @@ def div_round_half_even(num: int, den: int) -> int:
     return q
 
 
-def quantize(value: Fraction | int, places: int = 0) -> Fraction:
-    """Round an exact value to `places` decimal digits, ties to even."""
-    scale = 10**places
-    frac = Fraction(value)
-    return Fraction(div_round_half_even(frac.numerator * scale, frac.denominator), scale)
-
-
 def cu_str(amount: Cents) -> str:
     """Render integer cents as a two-decimal CU string, e.g. 469 -> '4.69'."""
     sign = "-" if amount < 0 else ""

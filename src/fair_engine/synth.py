@@ -8,9 +8,9 @@ until 0 < saturation < single-product price.  The generator is PCG64 so a
 seed reproduces bit-identically across platforms; the algorithm name is
 recorded in every output header.
 
-Experiments sweep the fair price curve over a list of per-seller
-availability values with both the exact and the greedy allocator, and
-summarize the optimum, non-monotonicity, and the greedy price gap.
+An experiment run builds the fair price curve of one population at one
+per-seller availability with both the exact and the greedy allocator, and
+summarizes the optimum, non-monotonicity, and the greedy price gap.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .allocation import (
     greedy_allocation,
     optimal_allocation,
     optimal_demand,
+    total_availability,
 )
 from .curves import LinearPlateauCurve
 
@@ -36,7 +37,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "PopulationSpec",
     "ExperimentRun",
-    "ExperimentResult",
     "GreedyAuditReport",
     "raw_parameter_draws",
     "generate_sellers",
@@ -50,18 +50,18 @@ RNG_ALGORITHM = "pcg64"
 _REJECTION_CAP = 10_000
 
 
+# distribution parameters of every population (see the module docstring)
+P1_MEAN, P1_SD = 100.0, 20.0
+RATE_LOG_MEAN, RATE_LOG_SD = -2.0, 2.0
+SAT_MEAN, SAT_SD = 60.0, 12.0
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Distribution parameters for a seller population."""
+    """Size, seed and per-seller stock of a seller population."""
 
     n_sellers: int = 20
     seed: int = 0
-    p1_mean: float = 100.0
-    p1_sd: float = 20.0
-    rate_log_mean: float = -2.0
-    rate_log_sd: float = 2.0
-    sat_mean: float = 60.0
-    sat_sd: float = 12.0
     availability: int | None = None  # None = unlimited, else homogeneous stock
 
     def __post_init__(self) -> None:
@@ -75,10 +75,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _draw_triple(spec: PopulationSpec, rng: np.random.Generator):
-    p1 = rng.normal(spec.p1_mean, spec.p1_sd)
-    rate = rng.lognormal(spec.rate_log_mean, spec.rate_log_sd)
-    sat = rng.normal(spec.sat_mean, spec.sat_sd)
+def _draw_triple(rng: np.random.Generator):
+    p1 = rng.normal(P1_MEAN, P1_SD)
+    rate = rng.lognormal(RATE_LOG_MEAN, RATE_LOG_SD)
+    sat = rng.normal(SAT_MEAN, SAT_SD)
     return p1, rate, sat
 
 
@@ -89,18 +89,12 @@ def raw_parameter_draws(spec: PopulationSpec, count: int):
     rates = np.empty(count)
     sats = np.empty(count)
     for i in range(count):
-        p1s[i], rates[i], sats[i] = _draw_triple(spec, rng)
+        p1s[i], rates[i], sats[i] = _draw_triple(rng)
     return p1s, rates, sats
 
 
-def _quantize_cents(value: float) -> int:
-    dec = Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
-    return int(dec * 100)
-
-
-def _quantize_rate(value: float) -> Fraction:
-    dec = Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN)
-    return Fraction(dec)
+def _on_grid(value: float, step: str) -> Decimal:
+    return Decimal(repr(value)).quantize(Decimal(step), rounding=ROUND_HALF_EVEN)
 
 
 def generate_sellers(spec: PopulationSpec) -> list[Seller]:
@@ -114,15 +108,15 @@ def generate_sellers(spec: PopulationSpec) -> list[Seller]:
     sellers: list[Seller] = []
     for i in range(spec.n_sellers):
         for _ in range(_REJECTION_CAP):
-            p1, rate, sat = _draw_triple(spec, rng)
-            p1_cents = _quantize_cents(p1)
-            sat_cents = _quantize_cents(sat)
+            p1, rate, sat = _draw_triple(rng)
+            p1_cents = int(_on_grid(p1, "0.01") * 100)
+            sat_cents = int(_on_grid(sat, "0.01") * 100)
             if 0 < sat_cents < p1_cents:
                 break
         else:
             raise RuntimeError("rejection sampling exceeded the retry cap")
         curve = LinearPlateauCurve(
-            p1_cents=p1_cents, rate=_quantize_rate(rate), sat_cents=sat_cents
+            p1_cents=p1_cents, rate=Fraction(_on_grid(rate, "0.0001")), sat_cents=sat_cents
         )
         sellers.append(
             Seller(id=f"S{i:03d}", curve=curve, availability=spec.availability)
@@ -143,47 +137,27 @@ class ExperimentRun:
     notices: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    spec: PopulationSpec
-    q_max: int
-    method: str
-    runs: tuple[ExperimentRun, ...]
-    rng_algorithm: str = RNG_ALGORITHM
-
-
 def run_experiment(
     spec: PopulationSpec,
-    availabilities: list[int | None],
+    availability: int | None,
     q_max: int,
     method: str = "exact",
-) -> ExperimentResult:
-    """Sweep the fair price curve over availability values, same population.
+) -> ExperimentRun:
+    """Fair price curves of the spec's population at one per-seller stock.
 
-    One seed yields one population; only the per-seller stock varies across
-    runs.  Each run records both solver curves, the optimal point of the
-    `method` curve, whether that curve is non-monotone, and the largest
-    relative price excess of greedy over exact.  A demand range larger than
-    the total stock is truncated with a notice.
+    One seed yields one population, so runs at different availabilities
+    compare the same sellers.  The run records both solver curves, the
+    optimal point of the `method` curve, whether that curve is non-monotone,
+    and the largest relative price excess of greedy over exact.  A demand
+    range larger than the total stock is truncated with a notice.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    runs = []
-    for availability in availabilities:
-        pop = replace(spec, availability=availability)
-        sellers = generate_sellers(pop)
-        run = _run_one(sellers, availability, q_max, method)
-        runs.append(run)
-    return ExperimentResult(spec=spec, q_max=q_max, method=method, runs=tuple(runs))
-
-
-def _run_one(
-    sellers: list[Seller], availability: int | None, q_max: int, method: str
-) -> ExperimentRun:
+    sellers = generate_sellers(replace(spec, availability=availability))
     notices = []
-    feasible = None if availability is None else availability * len(sellers)
+    feasible = total_availability(sellers)
     if feasible is not None and feasible < q_max:
         notices.append(
             f"availability={availability}: demand range truncated to "

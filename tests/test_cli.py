@@ -219,6 +219,27 @@ class TestFairSim:
                      "--out", str(tmp_path / "sim")]) == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "events, extra, where",
+        [
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 2.9,
+               "max_wait": 100}], {}, "events[0]: quantity"),
+            ([], {"config": {"max_duration": 1000, "curve_horizon": 20.7}},
+             "config: curve_horizon"),
+            ([], {"what_if": [2, True]}, "what_if[1]"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+               "max_wait": 100, "history": 5}], {}, "events[0]: history must be an object"),
+            ([], {"what_if": ["x"]}, "what_if[0]"),
+        ],
+    )
+    def test_malformed_integer_field_exits_2(self, tmp_path, capsys, events, extra, where):
+        scenario = {**base_scenario(events), **extra}
+        path = write_scenario(tmp_path, scenario)
+        assert main(["fair-sim", path, "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: {where}")
+        assert not (tmp_path / "sim").exists()
+
 
 EXPERIMENT_CFG = (
     "n_sellers = 6\nseed = 42\navailabilities = 3, unlimited\nq_max = 12\nmethod = exact\n"

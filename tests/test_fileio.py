@@ -286,3 +286,56 @@ class TestScenario:
         path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(where)):
             read_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 2.9,
+                          "max_wait": 100}]}, "events[0]: quantity"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": True,
+                          "max_wait": 100}]}, "events[0]: quantity"),
+            ({"config": {"curve_horizon": 20.7}}, "config: curve_horizon"),
+            ({"config": {"curve_horizon": False}}, "config: curve_horizon"),
+            ({"what_if": [2.9, True]}, "what_if[0]"),
+            ({"what_if": [2, True]}, "what_if[1]"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "history": {"purchases": 2.5}}]},
+             "events[0]: purchases"),
+            ({"events": [{"at": 10, "action": "advance"},
+                         {"at": 11, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "history": {"social_actions": True}}]},
+             "events[1]: social_actions"),
+        ],
+    )
+    def test_rejects_truncated_integers(self, tmp_path, change, where):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(where) + ".*whole number"):
+            read_scenario(str(path))
+
+    def test_accepts_whole_numbers_as_ints_floats_and_strings(self, tmp_path):
+        events = [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": "2",
+                   "max_wait": 100, "history": {"purchases": 3.0, "social_actions": "4"}}]
+        change = {"events": events, "config": {"curve_horizon": "20"}, "what_if": [2, "3", 4.0]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
+        scenario = read_scenario(str(path))
+        assert scenario.events[0].order.quantity == 2
+        assert scenario.config.curve_horizon == 20
+        assert scenario.what_if == (2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "history": 5}]},
+             "events[0]: history must be an object"),
+            ({"what_if": ["x"]}, "what_if[0]: invalid literal"),
+            ({"what_if": "12"}, "what_if must be a list"),
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, change, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: {message}")):
+            read_scenario(str(path))

@@ -90,8 +90,7 @@ class TestRawDraws:
 class TestRunExperiment:
     def test_unlimited_availability_reproduces_the_envelope(self):
         spec = PopulationSpec(n_sellers=20, seed=7)
-        result = run_experiment(spec, [None], q_max=60)
-        run = result.runs[0]
+        run = run_experiment(spec, None, q_max=60)
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], 60)
         for point in run.curve_exact.points:
@@ -100,17 +99,16 @@ class TestRunExperiment:
 
     def test_same_population_across_availabilities(self):
         spec = PopulationSpec(n_sellers=10, seed=11)
-        result = run_experiment(spec, [5, 20, None], q_max=30)
+        runs = [run_experiment(spec, a, q_max=30) for a in (5, 20, None)]
         curves = [
             {e.seller_id: e.unit_price_cents for e in run.curve_exact.points[0].allocation.entries}
-            for run in result.runs
+            for run in runs
         ]
         assert curves[0] == curves[1] == curves[2]
 
     def test_larger_availability_never_raises_the_curve(self):
         spec = PopulationSpec(n_sellers=10, seed=13)
-        result = run_experiment(spec, [4, 8, 16], q_max=40)
-        small, mid, large = result.runs
+        small, mid, large = (run_experiment(spec, a, q_max=40) for a in (4, 8, 16))
         for a, b in ((small, mid), (mid, large)):
             for pa, pb in zip(a.curve_exact.points, b.curve_exact.points):
                 assert pb.price_cents <= pa.price_cents
@@ -120,41 +118,39 @@ class TestRunExperiment:
         # price is the envelope price
         spec = PopulationSpec(n_sellers=8, seed=17)
         q_stock = 9
-        result = run_experiment(spec, [q_stock], q_max=q_stock)
+        run = run_experiment(spec, q_stock, q_max=q_stock)
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], q_stock)
-        for point in result.runs[0].curve_exact.points:
+        for point in run.curve_exact.points:
             assert point.price_cents == env.price_at(point.q)
 
     def test_stock_level_attains_the_optimum(self):
         # with homogeneous stock Q the demand q=Q is always a global minimum
         spec = PopulationSpec(n_sellers=12, seed=19)
         for q_stock in (3, 7, 15):
-            result = run_experiment(spec, [q_stock], q_max=80)
-            run = result.runs[0]
+            run = run_experiment(spec, q_stock, q_max=80)
             z_at_stock = run.curve_exact.price_at(q_stock)
             assert run.optimal.z_star_cents == z_at_stock
             assert run.optimal.q_star <= q_stock
 
     def test_truncation_produces_a_notice(self):
         spec = PopulationSpec(n_sellers=3, seed=23)
-        result = run_experiment(spec, [2], q_max=50)
-        run = result.runs[0]
+        run = run_experiment(spec, 2, q_max=50)
         assert run.notices and "truncated" in run.notices[0]
         assert run.curve_exact.points[-1].q == 6
 
     def test_greedy_gap_is_non_negative(self):
         spec = PopulationSpec(n_sellers=10, seed=29)
-        result = run_experiment(spec, [4, None], q_max=30)
-        for run in result.runs:
+        for availability in (4, None):
+            run = run_experiment(spec, availability, q_max=30)
             assert run.max_greedy_gap >= 0
 
     def test_rejects_bad_arguments(self):
         spec = PopulationSpec(n_sellers=3, seed=1)
         with pytest.raises(ValueError):
-            run_experiment(spec, [None], q_max=0)
+            run_experiment(spec, None, q_max=0)
         with pytest.raises(ValueError):
-            run_experiment(spec, [None], q_max=5, method="magic")
+            run_experiment(spec, None, q_max=5, method="magic")
 
 
 class TestAudit:
