@@ -206,6 +206,7 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
 
 
 _INF = 1 << 62
+_DP_BLOCK_CELLS = 1 << 18  # candidate cells per numpy step, so memory stays O(q)
 
 
 def _dp_tables(
@@ -214,10 +215,14 @@ def _dp_tables(
     """Min-cost DP over sellers for every demand 0..q_max in one sweep.
 
     State key packs (total cost in cents, sellers used) as cost*width+count
-    so one int64 comparison applies both criteria.  Scanning per-seller
-    quantities in ascending order with strict-improvement updates makes the
-    tie-break deterministic: cheapest first, then fewest sellers, then
-    quantity pushed toward the lexicographically smallest seller ids.
+    so one int64 comparison applies both criteria.  Each seller's
+    candidates key[q - x] + delta(x), x = 0..capacity, are laid out as a
+    (q, x) block and reduced with argmin, which keeps the smallest x among
+    equal keys; a later block of x replaces the running best only on strict
+    improvement.  That is the tie-break of scanning x upward: cheapest
+    first, then fewest sellers, then quantity pushed toward the
+    lexicographically smallest seller ids.  A candidate built on an
+    unreachable key stays above _INF, so it never wins.
     """
     ordered = sorted(sellers, key=lambda s: s.id)
     width = len(ordered) + 1
@@ -226,19 +231,36 @@ def _dp_tables(
         raise ValueError("cost scale too large for the exact solver")
     key = np.full(q_max + 1, _INF, dtype=np.int64)
     key[0] = 0
+    rows = np.arange(q_max + 1)
+    step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
     choices: list[np.ndarray] = []
     for seller in ordered:
         x_max = seller.capacity(q_max)
-        choice = np.zeros(q_max + 1, dtype=np.int32)
-        best = key.copy()
-        for x in range(1, x_max + 1):
-            delta = x * seller.curve.price_at(x) * width + 1
-            source = key[: q_max + 1 - x]
-            cand = source + delta
-            improves = (source < _INF) & (cand < best[x:])
-            if improves.any():
-                best[x:][improves] = cand[improves]
-                choice[x:][improves] = x
+        delta = np.array(  # x = 0 uses no seller
+            [0] + [x * seller.curve.price_at(x) * width + 1 for x in range(1, x_max + 1)],
+            dtype=np.int64,
+        )
+        padded = np.full(x_max + q_max + 1, _INF, dtype=np.int64)
+        padded[x_max:] = key  # padded[x_max + i] is key[i], _INF for i < 0
+        stride = padded.strides[0]
+        for lo in range(0, x_max + 1, step):
+            hi = min(lo + step, x_max + 1)
+            # shifted[q, k] is key[q - x] for x = lo + k
+            shifted = np.lib.stride_tricks.as_strided(
+                padded[x_max - lo :],
+                shape=(q_max + 1, hi - lo),
+                strides=(stride, -stride),
+                writeable=False,
+            )
+            cand = shifted + delta[lo:hi]
+            pick = cand.argmin(axis=1)
+            value = cand[rows, pick]
+            if lo == 0:
+                best, choice = value, pick.astype(np.int32)
+            else:
+                improves = value < best
+                best[improves] = value[improves]
+                choice[improves] = pick[improves] + lo
         key = best
         choices.append(choice)
     return key, choices, ordered, width
@@ -273,11 +295,50 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     return _build_allocation(_reconstruct(choices, ordered, q))
 
 
-@dataclass(frozen=True)
 class FairPricePoint:
-    q: int
-    price_cents: Fraction
-    allocation: Allocation
+    """One demand on a fair price curve: its unit price and the allocation behind it.
+
+    A point of an exact curve keeps the DP tables instead of an allocation
+    and rebuilds the allocation the first time it is read: a fair reads the
+    prices on every join, the allocations only when they are written out.
+    """
+
+    __slots__ = ("q", "price_cents", "_allocation", "_tables")
+
+    def __init__(
+        self,
+        q: int,
+        price_cents: Fraction,
+        allocation: Allocation | None = None,
+        *,
+        tables: tuple[list[np.ndarray], list[Seller]] | None = None,
+    ):
+        if (allocation is None) == (tables is None):
+            raise ValueError("a fair price point needs an allocation or the DP tables")
+        self.q = q
+        self.price_cents = price_cents
+        self._allocation = allocation
+        self._tables = tables
+
+    @property
+    def allocation(self) -> Allocation:
+        if self._allocation is None:
+            choices, ordered = self._tables
+            self._allocation = _build_allocation(_reconstruct(choices, ordered, self.q))
+        return self._allocation
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FairPricePoint):
+            return NotImplemented
+        return (self.q, self.price_cents, self.allocation) == (
+            other.q, other.price_cents, other.allocation
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FairPricePoint(q={self.q!r}, price_cents={self.price_cents!r}, "
+            f"allocation={self.allocation!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,7 +372,11 @@ def fair_price_curve(
     q_max: int,
     method: str = "exact",
 ) -> FairPriceCurve:
-    """Sweep demands 1..q_max and record the chosen allocation per demand."""
+    """Sweep demands 1..q_max and record the price and allocation per demand.
+
+    The exact method prices every demand from one DP sweep; each point's
+    allocation is rebuilt from the DP tables when it is first read.
+    """
     _check_quantity(q_max)
     if not sellers:
         raise ValueError("no sellers to build a price curve from")
@@ -322,20 +387,20 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    allocations: list[Allocation] = []
+    points: list[FairPricePoint] = []
     if method == "exact" and q_cap >= 1:
-        key, choices, ordered, _ = _dp_tables(sellers, q_cap)
-        for q in range(1, q_cap + 1):
-            if key[q] >= _INF:
+        key, choices, ordered, width = _dp_tables(sellers, q_cap)
+        tables = (choices, ordered)
+        for q, packed in enumerate(key[1:].tolist(), start=1):
+            if packed >= _INF:
                 break
-            allocations.append(_build_allocation(_reconstruct(choices, ordered, q)))
+            # packed is cost*width + sellers used, so the cost is its quotient
+            points.append(FairPricePoint(q, Fraction(packed // width, q), tables=tables))
     elif method == "greedy":
-        allocations = [greedy_allocation(sellers, q) for q in range(1, q_cap + 1)]
-    points = tuple(
-        FairPricePoint(q=q, price_cents=alloc.fair_unit_price_cents, allocation=alloc)
-        for q, alloc in enumerate(allocations, start=1)
-    )
-    return FairPriceCurve(points=points, q_feasible_max=feasible_max)
+        for q in range(1, q_cap + 1):
+            alloc = greedy_allocation(sellers, q)
+            points.append(FairPricePoint(q, alloc.fair_unit_price_cents, alloc))
+    return FairPriceCurve(points=tuple(points), q_feasible_max=feasible_max)
 
 
 @dataclass(frozen=True)

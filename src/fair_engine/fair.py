@@ -279,7 +279,9 @@ class SellerLedger:
             if seller.id not in self._capacity:
                 self.register(seller)
             remaining = self.available(seller.id)
-            out.append(replace(seller, availability=remaining))
+            if remaining != seller.availability:
+                seller = replace(seller, availability=remaining)
+            out.append(seller)
         return out
 
     def commit(self, allocation: Allocation) -> None:
@@ -304,6 +306,12 @@ class Fair:
 
     Single-writer: callers serialize mutations per fair.  Status only moves
     forward (running -> ended -> settled).
+
+    The outlook (fair price curve and its optimum) is cached per stock
+    state: keyed on the horizon and the effective sellers' remaining
+    stock, which is all the curve depends on for a fixed seller set and
+    config.  Joins between settlements reuse it; it is dropped when the
+    fair ends.
     """
 
     fair_id: str
@@ -315,6 +323,7 @@ class Fair:
     orders: list[BuyerOrder] = field(default_factory=list)
     status: FairStatus = FairStatus.RUNNING
     settlement: Settlement | None = None
+    _cached_outlook: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def demand(self) -> int:
@@ -328,16 +337,21 @@ class Fair:
     def _outlook(
         self, ledger: SellerLedger | None, demand: int, what_if: Sequence[int] = ()
     ):
-        """Build the fair price curve out to `demand`; read its optimum and prices.
+        """Build (or reuse) the fair price curve out to `demand`; read its optimum and prices.
 
         Returns the optimum, the price at `demand` and the (q, price) pairs
         of `what_if`.  The optimum is None when no stock is left (empty
         curve); a price is None where its demand lies outside the curve.
         """
         horizon = max(self.config.curve_horizon, demand)
-        curve = fair_price_curve(self._effective_sellers(ledger), horizon)
+        sellers = self._effective_sellers(ledger)
+        key = (horizon, tuple(seller.availability for seller in sellers))
+        if self._cached_outlook is None or self._cached_outlook[0] != key:
+            curve = fair_price_curve(sellers, horizon)
+            optimal = optimal_demand(curve) if curve.points else None
+            self._cached_outlook = (key, curve, optimal)
+        _, curve, optimal = self._cached_outlook
         n = len(curve.points)
-        optimal = optimal_demand(curve) if n else None
         prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
         return optimal, prices[0], tuple(zip(what_if, prices[1:]))
 
@@ -398,16 +412,17 @@ class Fair:
         """
         if self.status is not FairStatus.RUNNING:
             return self.status
+        demand = self.demand
         if now >= self.deadline:
             self.status = FairStatus.ENDED_BY_TIME
-            return self.status
-        demand = self.demand
-        if demand >= 1:
+        elif demand >= 1:
             optimal, current, _ = self._outlook(ledger, demand)
             if current is not None and demand >= optimal.q_star and (
                 current == optimal.z_star_cents
             ):
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
+        if self.status is not FairStatus.RUNNING:
+            self._cached_outlook = None
         return self.status
 
     def settle(

@@ -343,7 +343,10 @@ def read_experiment_config(path: str) -> ExperimentConfig:
             parsed: list[int | None] = []
             for chunk in values["availabilities"].split(","):
                 chunk = chunk.strip().lower()
-                parsed.append(None if chunk in ("unlimited", "inf") else int(chunk))
+                availability = None if chunk in ("unlimited", "inf") else int(chunk)
+                if availability in parsed:
+                    raise ValueError(f"availabilities: {chunk!r} repeats an earlier entry")
+                parsed.append(availability)
             availabilities = tuple(parsed)
         config = ExperimentConfig(
             n_sellers=int(values.get("n_sellers", 20)),
@@ -396,6 +399,18 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _seconds(value, name: str) -> float:
+    """A scenario time or duration: `10`, `10.5` and `"10"` pass; `true`, NaN and inf do not."""
+    if not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except (TypeError, ValueError):
+            seconds = math.nan
+        if math.isfinite(seconds):
+            return seconds
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def read_scenario(path: str) -> Scenario:
     """Parse a fair-simulation scenario (JSON).
 
@@ -444,7 +459,9 @@ def read_scenario(path: str) -> Scenario:
         raise _scenario_error(path, "config must be an object")
     try:
         config = FairConfig(
-            max_duration=float(cfg_raw.get("max_duration", FairConfig.max_duration)),
+            max_duration=_seconds(
+                cfg_raw.get("max_duration", FairConfig.max_duration), "max_duration"
+            ),
             margin=ratio(str(cfg_raw.get("margin", "0.05"))),
             fidelity_discount=ratio(str(cfg_raw.get("fidelity_discount", "0.04"))),
             curve_horizon=_whole(
@@ -454,11 +471,9 @@ def read_scenario(path: str) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise _scenario_error(path, f"config: {exc}") from None
     try:
-        opened_at = float(data.get("opened_at", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise _scenario_error(path, f"opened_at: {exc}") from None
-    if not math.isfinite(opened_at):
-        raise _scenario_error(path, "opened_at must be finite")
+        opened_at = _seconds(data.get("opened_at", 0.0), "opened_at")
+    except ValueError as exc:
+        raise _scenario_error(path, str(exc)) from None
 
     events: list[ScenarioEvent] = []
     last_at = opened_at
@@ -466,11 +481,9 @@ def read_scenario(path: str) -> Scenario:
         if not isinstance(raw, dict) or "at" not in raw or "action" not in raw:
             raise _scenario_error(path, f"events[{i}] needs `at` and `action`")
         try:
-            at = float(raw["at"])
-        except (TypeError, ValueError):
-            raise _scenario_error(path, f"events[{i}]: bad timestamp") from None
-        if not math.isfinite(at):
-            raise _scenario_error(path, f"events[{i}]: timestamp must be finite")
+            at = _seconds(raw["at"], "timestamp")
+        except ValueError as exc:
+            raise _scenario_error(path, f"events[{i}]: {exc}") from None
         if at < last_at:
             raise _scenario_error(path, f"events[{i}]: timestamps must not decrease")
         last_at = at
@@ -505,7 +518,7 @@ def read_scenario(path: str) -> Scenario:
                 order = BuyerOrder(
                     buyer_id=str(raw["buyer_id"]),
                     quantity=_whole(raw["quantity"], "quantity"),
-                    max_wait=float(raw["max_wait"]),
+                    max_wait=_seconds(raw["max_wait"], "max_wait"),
                     join_time=at,
                     payment_timing=timing,
                     destination=dest,

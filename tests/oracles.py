@@ -27,3 +27,32 @@ def first_minimum(prices):
     """Smallest index (1-based) attaining the minimum of a price sequence."""
     best = min(prices)
     return prices.index(best) + 1, best
+
+
+def scan_dp_tables(sellers, q_max):
+    """The exact solver's DP tables, by the plain upward scan over quantities.
+
+    Keys pack (total cost, sellers used) as cost * width + count.  For each
+    seller in id order, quantities x = 1, 2, ... replace a demand's best key
+    only on strict improvement, which fixes the tie-break.  Returns the
+    final keys (None where a demand is unreachable) and one choice list per
+    seller.
+    """
+    ordered = sorted(sellers, key=lambda s: s.id)
+    width = len(ordered) + 1
+    key = [0] + [None] * q_max
+    choices = []
+    for seller in ordered:
+        best = list(key)
+        choice = [0] * (q_max + 1)
+        for x in range(1, seller.capacity(q_max) + 1):
+            delta = x * seller.curve.price_at(x) * width + 1
+            for q in range(x, q_max + 1):
+                if key[q - x] is None:
+                    continue
+                if best[q] is None or key[q - x] + delta < best[q]:
+                    best[q] = key[q - x] + delta
+                    choice[q] = x
+        key = best
+        choices.append(choice)
+    return key, choices

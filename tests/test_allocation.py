@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, scan_dp_tables
 
+from fair_engine import allocation as allocation_mod
 from fair_engine.allocation import (
     Allocation,
     AllocationEntry,
@@ -261,6 +262,49 @@ class TestFairPriceCurve:
                 assert point.allocation.total_quantity == point.q
                 for entry in point.allocation.entries:
                     assert entry.quantity <= caps[entry.seller_id]
+
+    def test_dp_matches_the_upward_scan(self, monkeypatch):
+        # keys and choices equal the loop reference, ties included, whether
+        # the quantities come in one block or in several
+        rng = random.Random(67)
+        flat = linear_curve(5, 0, 5)
+        markets = [
+            ([Seller(s, flat, availability=4) for s in ("B", "A", "C")], 12),
+            ([Seller(s, flat) for s in ("B", "A")], 9),
+            ([Seller("U", linear_curve(9, "0.5", 6)), *two_capped_sellers()], 15),
+        ]
+        markets += [(inst.sellers, inst.demand) for inst in random_small_instances(seed=61, count=30)]
+        for _ in range(5):
+            curves = [linear_curve(rng.randint(50, 120), rng.choice(["0", "0.5", "2"]), 40)
+                      for _ in range(6)]
+            sellers = [Seller(f"S{i}", c, availability=rng.randint(0, 15))
+                       for i, c in enumerate(curves)]
+            markets.append((sellers, rng.randint(1, 40)))
+        expected = [scan_dp_tables(sellers, q) for sellers, q in markets]
+        for cells in (allocation_mod._DP_BLOCK_CELLS, 1, 40):
+            monkeypatch.setattr(allocation_mod, "_DP_BLOCK_CELLS", cells)
+            for (sellers, q), (keys, choices) in zip(markets, expected):
+                key, got, _, _ = allocation_mod._dp_tables(sellers, q)
+                assert [k if k < allocation_mod._INF else None for k in key.tolist()] == keys
+                assert [c.tolist() for c in got] == choices
+
+    def test_prices_are_read_without_building_allocations(self, monkeypatch):
+        built = []
+        build = allocation_mod._build_allocation
+        monkeypatch.setattr(
+            allocation_mod, "_build_allocation", lambda fills: built.append(1) or build(fills)
+        )
+        sellers = two_capped_sellers()
+        curve = fair_price_curve(sellers, 4)
+        optimal_demand(curve)
+        curve.price_at(3)
+        assert built == []
+        point = curve.points[2]
+        assert point.allocation is point.allocation
+        assert len(built) == 1
+        assert point.allocation == optimal_allocation(sellers, 3)
+        with pytest.raises(ValueError):
+            FairPricePoint(1, Fraction(1))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,10 @@ class TestFairSim:
             ([], {"max_duration": float("inf")}, "config"),
             ([{"at": float("nan"), "action": "advance"},
               {"at": 5, "action": "advance"}], {}, "events[0]"),
+            ([{"at": True, "action": "advance"}], {}, "events[0]: timestamp"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+               "max_wait": True}], {}, "events[0]: max_wait"),
+            ([], {"max_duration": True}, "config: max_duration"),
         ],
     )
     def test_non_finite_input_exits_2(self, tmp_path, capsys, events, config, where):
@@ -230,6 +234,7 @@ class TestFairSim:
             ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
                "max_wait": 100, "history": 5}], {}, "events[0]: history must be an object"),
             ([], {"what_if": ["x"]}, "what_if[0]"),
+            ([], {"opened_at": False}, "opened_at must be a finite number"),
         ],
     )
     def test_malformed_integer_field_exits_2(self, tmp_path, capsys, events, extra, where):
@@ -295,6 +300,17 @@ class TestExperiment:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_repeated_availability_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "n_sellers = 4\nseed = 1\navailabilities = 3, unlimited, inf\nq_max = 8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+        assert "availabilities: 'inf' repeats an earlier entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_availability_list_still_processes(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

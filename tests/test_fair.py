@@ -1,11 +1,24 @@
 """Tests for the fair lifecycle: joins, prediction, ending, settlement, ledger."""
 
+import itertools
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fair_engine.allocation import InfeasibleDemandError, Seller
+import fair_engine.fair as fair_module
+from fair_engine.allocation import (
+    InfeasibleDemandError,
+    Seller,
+    fair_price_curve,
+    optimal_allocation,
+    optimal_demand,
+)
 from fair_engine.curves import linear_curve
 from fair_engine.fair import (
     BuyerHistory,
@@ -15,6 +28,7 @@ from fair_engine.fair import (
     LedgerCapacityError,
     LifecycleError,
     PaymentTiming,
+    PricePrediction,
     SellerLedger,
     fidelity_score,
     join_earliness,
@@ -185,6 +199,125 @@ class TestCheckEnd:
         fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
         fair.check_end(DAY)
         assert fair.check_end(0.0) is FairStatus.ENDED_BY_TIME
+
+
+def rebuilt_prediction(fair, ledger, what_if=()):
+    """The fair's prediction computed from scratch; None when no stock is left."""
+    demand = fair.demand
+    horizon = max(fair.config.curve_horizon, demand)
+    curve = fair_price_curve(ledger.effective_sellers(fair.sellers), horizon)
+    if not curve.points:
+        return None
+    n = len(curve.points)
+
+    def price(q):
+        return curve.price_at(q) if 1 <= q <= n else None
+
+    return PricePrediction(
+        demand=demand,
+        current_price_cents=price(demand),
+        optimal=optimal_demand(curve),
+        what_if=tuple((q, price(q)) for q in what_if),
+    )
+
+
+WHAT_IF = tuple(range(1, 9))
+
+
+class TestOutlookCache:
+    def test_join_and_check_end_share_one_curve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fair_price_curve(*args, **kwargs)
+
+        monkeypatch.setattr(fair_module, "fair_price_curve", counted)
+        sellers = interior_minimum_sellers()
+        ledger = SellerLedger(sellers)
+        fair = open_fair("paper", sellers, FairConfig(max_duration=DAY), ledger=ledger)
+        fair.join(order("b1", 2), ledger=ledger, what_if=WHAT_IF)
+        assert fair.check_end(0.5 * DAY, ledger=ledger) is FairStatus.RUNNING
+        assert len(calls) == 1
+        # unchanged stock: the next join reuses the curve too
+        fair.join(order("b2", 3), ledger=ledger)
+        assert fair.check_end(0.5 * DAY, ledger=ledger) is FairStatus.ENDED_BY_OPTIMAL_PRICE
+        assert len(calls) == 1
+        assert fair._cached_outlook is None  # an ended fair keeps no curve
+
+    def test_settlement_elsewhere_refreshes_the_prediction(self):
+        sellers = interior_minimum_sellers()
+        ledger = SellerLedger(sellers)
+        fair = open_fair("paper", sellers, FairConfig(max_duration=DAY), ledger=ledger)
+        before = fair.join(order("b1", 2), ledger=ledger, what_if=WHAT_IF)
+
+        rival = open_fair("paper", sellers, FairConfig(max_duration=DAY), ledger=ledger)
+        rival.join(order("r1", 3), ledger=ledger)
+        rival.check_end(DAY, ledger=ledger)
+        rival.settle(ledger=ledger)  # takes 3 of A's 5 cheap units
+
+        after = fair.predict(what_if=WHAT_IF, ledger=ledger)
+        assert after == rebuilt_prediction(fair, ledger, WHAT_IF)
+        assert (after.optimal, after.what_if) != (before.optimal, before.what_if)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stock=st.tuples(
+            st.integers(1, 6), st.integers(1, 6), st.one_of(st.none(), st.integers(1, 6))
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from(["join", "predict", "check"]),
+                st.integers(1, 4),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_every_prediction_matches_a_fresh_curve(self, stock, steps):
+        # Two fair slots on one ledger take joins, predictions and checks in
+        # any order; a fair that ends settles at once and its slot reopens.
+        # curve_horizon 4 lets demand outgrow the horizon.
+        sellers = [
+            Seller("A", linear_curve(100, 10, 10), availability=stock[0]),
+            Seller("B", linear_curve(120, 5, 60), availability=stock[1]),
+            Seller("C", linear_curve(200, 0, 200), availability=stock[2]),
+        ]
+        ledger = SellerLedger(sellers)
+        config = FairConfig(max_duration=DAY, curve_horizon=4)
+        fairs = [open_fair("paper", sellers, config, ledger=ledger) for _ in range(2)]
+        buyers = itertools.count()
+        for slot, action, q in steps:
+            fair = fairs[slot]
+            if fair is None:
+                continue
+            if action == "join":
+                try:
+                    prediction = fair.join(
+                        order(f"b{next(buyers)}", q), ledger=ledger, what_if=WHAT_IF
+                    )
+                except InfeasibleDemandError:
+                    continue
+                assert prediction == rebuilt_prediction(fair, ledger, WHAT_IF)
+            elif action == "predict":
+                expected = rebuilt_prediction(fair, ledger, WHAT_IF)
+                if expected is None:
+                    with pytest.raises(InfeasibleDemandError):
+                        fair.predict(what_if=WHAT_IF, ledger=ledger)
+                else:
+                    assert fair.predict(what_if=WHAT_IF, ledger=ledger) == expected
+            elif fair.check_end(DAY if q == 4 else 0.5 * DAY, ledger=ledger) in (
+                FairStatus.ENDED_BY_TIME,
+                FairStatus.ENDED_BY_OPTIMAL_PRICE,
+            ):
+                try:
+                    fair.settle(ledger=ledger)
+                except InfeasibleDemandError:
+                    pass  # the other fair took the stock this one counted on
+                try:
+                    fairs[slot] = open_fair("paper", sellers, config, ledger=ledger)
+                except ValueError:
+                    fairs[slot] = None  # every unit committed
 
 
 class TestFidelity:
@@ -429,6 +562,70 @@ class TestSellerLedger:
             for seller in sellers:
                 assert ledger.committed(seller.id) <= seller.availability
         assert settled == sum(ledger.committed(s.id) for s in sellers)
+
+    def test_threaded_commits_and_reads_never_oversell(self):
+        # Under the GIL a check-then-commit race shows only at the last unit,
+        # so the race is run for several rounds, each on a fresh ledger.
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+            os.cpu_count() or 1
+        )
+        n_readers = cores + 2  # more threads than cores
+        n_writers = 2 * n_readers
+        tries = 60 // n_writers + 5  # more one-unit commits than stock in all
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                self._race_for_the_last_unit(n_writers, n_readers, tries)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _race_for_the_last_unit(n_writers, n_readers, tries):
+        seller = flat_seller(10, availability=50)
+        ledger = SellerLedger([seller])
+        one_unit = optimal_allocation([seller], 1)
+        start = threading.Barrier(n_writers + n_readers)
+        writers_done = threading.Event()
+        outcomes, lowest_seen, errors = [], [], []
+
+        def write():
+            start.wait(timeout=10)
+            for _ in range(tries):
+                try:
+                    ledger.commit(one_unit)
+                    outcomes.append("committed")
+                except LedgerCapacityError:
+                    outcomes.append("rejected")
+
+        def read():
+            start.wait(timeout=10)
+            lowest = 50
+            try:
+                while not writers_done.is_set():
+                    (view,) = ledger.effective_sellers([seller])
+                    lowest = min(lowest, view.availability)
+            except ValueError as exc:  # a Seller with negative stock refuses to exist
+                errors.append(exc)
+            lowest_seen.append(lowest)
+
+        writers = [threading.Thread(target=write) for _ in range(n_writers)]
+        readers = [threading.Thread(target=read) for _ in range(n_readers)]
+        try:
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+        finally:
+            writers_done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert errors == []
+        assert outcomes.count("committed") == 50
+        assert outcomes.count("rejected") == n_writers * tries - 50
+        assert ledger.available("S1") == 0
+        assert len(lowest_seen) == n_readers and min(lowest_seen) >= 0
 
 
 class TestOrderValidation:

@@ -201,6 +201,16 @@ class TestExperimentConfig:
         with pytest.raises(ParseError):
             read_experiment_config(str(path))
 
+    @pytest.mark.parametrize(
+        "entries, repeated", [("3, 3, unlimited", "'3'"), ("unlimited, 4, inf", "'inf'")]
+    )
+    def test_rejects_repeated_availability(self, tmp_path, entries, repeated):
+        # `unlimited` and `inf` are one entry; a repeat would run and be written twice
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"availabilities = {entries}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"availabilities: {repeated} repeats"):
+            read_experiment_config(str(path))
+
 
 SCENARIO = {
     "product_id": "paper",
@@ -279,6 +289,12 @@ class TestScenario:
             ({"events": [{"at": float("inf"), "action": "advance"}]}, "events[0]"),
             ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
                           "max_wait": float("nan")}]}, "events[0]"),
+            # JSON booleans are not times, though float() would read them as 0 and 1
+            ({"opened_at": False}, "opened_at"),
+            ({"config": {"max_duration": True}}, "config: max_duration"),
+            ({"events": [{"at": True, "action": "advance"}]}, "events[0]: timestamp"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": True}]}, "events[0]: max_wait"),
         ],
     )
     def test_rejects_non_finite_numbers(self, tmp_path, change, where):
