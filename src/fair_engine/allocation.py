@@ -207,6 +207,7 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
 
 _INF = 1 << 62
 _DP_BLOCK_CELLS = 1 << 18  # candidate cells per numpy step, so memory stays O(q)
+_DP_CELL_BUDGET = 1 << 30  # most cells one sweep may fill; n=200 unlimited q=2000 is 8.0e8
 
 
 def _dp_tables(
@@ -223,7 +224,16 @@ def _dp_tables(
     first, then fewest sellers, then quantity pushed toward the
     lexicographically smallest seller ids.  A candidate built on an
     unreachable key stays above _INF, so it never wins.
+
+    A sweep fills sum(capacity) * (q_max + 1) cells; one over the budget is
+    refused before any price is read or array allocated.
     """
+    cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
+    if cells > _DP_CELL_BUDGET:
+        raise ValueError(
+            f"demand {q_max} needs {cells} DP cells, over the exact solver's "
+            f"budget of {_DP_CELL_BUDGET}"
+        )
     ordered = sorted(sellers, key=lambda s: s.id)
     width = len(ordered) + 1
     cost_bound = sum(s.capacity(q_max) * s.curve.price_at(1) for s in ordered)
@@ -284,15 +294,12 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     """Minimum-total-cost split of q units across the sellers.
 
     Exact dynamic program, O(n * q * max availability); ties resolved toward
-    fewest sellers used, then lexicographically smallest seller ids.
+    fewest sellers used, then lexicographically smallest seller ids.  The
+    split is point q of the exact fair price curve: a point does not depend
+    on how far the curve reaches.
     """
     _check_request(sellers, q)
-
-    key, choices, ordered, _ = _dp_tables(sellers, q)
-    if key[q] >= _INF:
-        reachable = int(np.max(np.nonzero(key < _INF)[0]))
-        raise InfeasibleDemandError(q, reachable)
-    return _build_allocation(_reconstruct(choices, ordered, q))
+    return fair_price_curve(sellers, q).points[q - 1].allocation
 
 
 class FairPricePoint:

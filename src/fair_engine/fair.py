@@ -26,11 +26,11 @@ from typing import Iterable, Sequence
 
 from .allocation import (
     Allocation,
+    FairPriceCurve,
     InfeasibleDemandError,
     OptimalPoint,
     Seller,
     fair_price_curve,
-    optimal_allocation,
     optimal_demand,
     total_availability,
 )
@@ -300,6 +300,11 @@ class SellerLedger:
                 self._committed[entry.seller_id] += entry.quantity
 
 
+def _effective_sellers(sellers: Sequence[Seller], ledger: SellerLedger | None) -> list[Seller]:
+    """The sellers with their stock reduced by the ledger's commitments, if any."""
+    return list(sellers) if ledger is None else ledger.effective_sellers(sellers)
+
+
 @dataclass
 class Fair:
     """Mutable lifecycle state for one product's demand aggregation.
@@ -310,8 +315,9 @@ class Fair:
     The outlook (fair price curve and its optimum) is cached per stock
     state: keyed on the horizon and the effective sellers' remaining
     stock, which is all the curve depends on for a fixed seller set and
-    config.  Joins between settlements reuse it; it is dropped when the
-    fair ends.
+    config.  It is the fair's one source of prices and allocations: joins,
+    predictions and end checks read prices from it, and settlement takes
+    the curve's point at the final demand.  It is dropped at settlement.
     """
 
     fair_id: str
@@ -329,31 +335,21 @@ class Fair:
     def demand(self) -> int:
         return sum(order.quantity for order in self.orders)
 
-    def _effective_sellers(self, ledger: SellerLedger | None) -> list[Seller]:
-        if ledger is None:
-            return list(self.sellers)
-        return ledger.effective_sellers(self.sellers)
-
     def _outlook(
-        self, ledger: SellerLedger | None, demand: int, what_if: Sequence[int] = ()
-    ):
-        """Build (or reuse) the fair price curve out to `demand`; read its optimum and prices.
+        self, ledger: SellerLedger | None, demand: int
+    ) -> tuple[FairPriceCurve, OptimalPoint | None]:
+        """Build (or reuse) the fair price curve out to `demand` and its optimum.
 
-        Returns the optimum, the price at `demand` and the (q, price) pairs
-        of `what_if`.  The optimum is None when no stock is left (empty
-        curve); a price is None where its demand lies outside the curve.
+        The optimum is None when no stock is left (empty curve).
         """
         horizon = max(self.config.curve_horizon, demand)
-        sellers = self._effective_sellers(ledger)
+        sellers = _effective_sellers(self.sellers, ledger)
         key = (horizon, tuple(seller.availability for seller in sellers))
         if self._cached_outlook is None or self._cached_outlook[0] != key:
             curve = fair_price_curve(sellers, horizon)
             optimal = optimal_demand(curve) if curve.points else None
             self._cached_outlook = (key, curve, optimal)
-        _, curve, optimal = self._cached_outlook
-        n = len(curve.points)
-        prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
-        return optimal, prices[0], tuple(zip(what_if, prices[1:]))
+        return self._cached_outlook[1:]
 
     def predict(
         self,
@@ -364,11 +360,14 @@ class Fair:
         if self.status is not FairStatus.RUNNING:
             raise LifecycleError(f"fair {self.fair_id} is not running")
         demand = self.demand
-        optimal, current, probes = self._outlook(ledger, demand, what_if)
+        curve, optimal = self._outlook(ledger, demand)
         if optimal is None:
             raise InfeasibleDemandError(max(demand, 1), 0)
+        n = len(curve.points)
+        prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
         return PricePrediction(
-            demand=demand, current_price_cents=current, optimal=optimal, what_if=probes
+            demand=demand, current_price_cents=prices[0], optimal=optimal,
+            what_if=tuple(zip(what_if, prices[1:])),
         )
 
     def join(
@@ -393,7 +392,7 @@ class Fair:
             raise ValueError(f"buyer {order.buyer_id} already joined {self.fair_id}")
 
         new_demand = self.demand + order.quantity
-        supply = total_availability(self._effective_sellers(ledger))
+        supply = total_availability(_effective_sellers(self.sellers, ledger))
         if supply is not None and new_demand > supply:
             raise InfeasibleDemandError(new_demand, supply)
 
@@ -416,13 +415,11 @@ class Fair:
         if now >= self.deadline:
             self.status = FairStatus.ENDED_BY_TIME
         elif demand >= 1:
-            optimal, current, _ = self._outlook(ledger, demand)
-            if current is not None and demand >= optimal.q_star and (
-                current == optimal.z_star_cents
+            curve, optimal = self._outlook(ledger, demand)
+            if demand <= len(curve.points) and demand >= optimal.q_star and (
+                curve.price_at(demand) == optimal.z_star_cents
             ):
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
-        if self.status is not FairStatus.RUNNING:
-            self._cached_outlook = None
         return self.status
 
     def settle(
@@ -430,6 +427,7 @@ class Fair:
     ) -> Settlement:
         """Allocate, pay sellers, and share the cost among buyers.
 
+        The allocation is the fair price curve's point at the final demand.
         Buyer unit prices start from (1 + margin) * cost / demand and are
         tilted by each buyer's fidelity, then renormalized so the grand
         total is exactly (1 + margin) * cost: higher fidelity pays less,
@@ -444,37 +442,32 @@ class Fair:
             )
         when = self.deadline if settled_at is None else settled_at
         demand = self.demand
-        if demand == 0:
-            settlement = Settlement(
-                fair_id=self.fair_id,
-                allocation=None,
-                buyer_charges=(),
-                seller_payments=(),
-                buyers_total_cents=Fraction(0),
-                sellers_total_cents=0,
-                manager_revenue_cents=Fraction(0),
-                settled_at=when,
+        allocation, cost, payments = None, 0, ()
+        if demand:
+            curve, _ = self._outlook(ledger, demand)
+            if demand > len(curve.points):
+                raise InfeasibleDemandError(demand, curve.q_feasible_max)
+            allocation = curve.points[demand - 1].allocation
+            if ledger is not None:
+                ledger.commit(allocation)
+            cost = allocation.total_cost_cents
+            payments = tuple(
+                SellerPayment(
+                    seller_id=entry.seller_id,
+                    quantity=entry.quantity,
+                    unit_price_cents=entry.unit_price_cents,
+                    payment_cents=entry.cost_cents,
+                )
+                for entry in allocation.entries
             )
-            self.status = FairStatus.SETTLED
-            self.settlement = settlement
-            return settlement
-
-        effective = self._effective_sellers(ledger)
-        allocation = optimal_allocation(effective, demand)
-        if ledger is not None:
-            ledger.commit(allocation)
-
-        cost = allocation.total_cost_cents
         margin = self.config.margin
         discount = self.config.fidelity_discount
-        base = (1 + margin) * Fraction(cost, demand)
         weights = [(order, 1 - discount * order.fidelity) for order in self.orders]
-        norm = Fraction(
-            sum(order.quantity * w for order, w in weights), demand
-        )
+        weighted = sum(order.quantity * w for order, w in weights)
         charges = []
         for order, w in weights:
-            unit = base * w / norm
+            # (1 + margin) * cost / demand, times w over the mean weight per unit
+            unit = (1 + margin) * cost * w / weighted
             charges.append(
                 BuyerCharge(
                     buyer_id=order.buyer_id,
@@ -483,17 +476,9 @@ class Fair:
                     total_cents=unit * order.quantity,
                 )
             )
-        payments = tuple(
-            SellerPayment(
-                seller_id=entry.seller_id,
-                quantity=entry.quantity,
-                unit_price_cents=entry.unit_price_cents,
-                payment_cents=entry.cost_cents,
-            )
-            for entry in allocation.entries
-        )
         buyers_total = sum((c.total_cents for c in charges), Fraction(0))
-        settlement = Settlement(
+        self._cached_outlook = None  # settlement is the last read of the fair's curve
+        self.settlement = Settlement(
             fair_id=self.fair_id,
             allocation=allocation,
             buyer_charges=tuple(charges),
@@ -504,8 +489,7 @@ class Fair:
             settled_at=when,
         )
         self.status = FairStatus.SETTLED
-        self.settlement = settlement
-        return settlement
+        return self.settlement
 
 
 def open_fair(
@@ -524,8 +508,7 @@ def open_fair(
     cfg = config or FairConfig()
     if not sellers:
         raise ValueError(f"no sellers can supply product {product_id}")
-    effective = sellers if ledger is None else ledger.effective_sellers(sellers)
-    supply = total_availability(effective)
+    supply = total_availability(_effective_sellers(sellers, ledger))
     if supply is not None and supply < 1:
         raise ValueError(f"no remaining stock for product {product_id}")
     return Fair(

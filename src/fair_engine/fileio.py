@@ -145,8 +145,8 @@ def parse_position_rows(
         if len(cells) < 4:
             raise ParseError(source, line_no, "expected `buyer_id,x,y,timestamp`")
         try:
-            position = Position(float(cells[1]), float(cells[2]))
-            timestamp = float(cells[3])
+            position = Position(_finite(cells[1], "x"), _finite(cells[2], "y"))
+            timestamp = _finite(cells[3], "timestamp")
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
         visits.setdefault(cells[0], []).append((position, timestamp))
@@ -321,8 +321,12 @@ class ExperimentConfig:
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
-    """Parse a `key = value` config file (# comments allowed)."""
-    values: dict[str, str] = {}
+    """Parse a `key = value` config file (# comments allowed).
+
+    Each error names the offending key and the line it was set on; keys
+    left out keep the `ExperimentConfig` defaults.
+    """
+    lines: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -331,35 +335,31 @@ def read_experiment_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ParseError(path, line_no, "expected `key = value`")
             key, _, value = line.partition("=")
-            values[key.strip().lower()] = value.strip()
+            lines[key.strip().lower()] = (line_no, value.strip())
 
-    known = {"n_sellers", "seed", "availabilities", "q_max", "method"}
-    unknown = set(values) - known
-    if unknown:
-        raise ParseError(path, 1, f"unknown config keys: {sorted(unknown)}")
-    try:
-        availabilities: tuple[int | None, ...] = (None,)
-        if "availabilities" in values:
-            parsed: list[int | None] = []
-            for chunk in values["availabilities"].split(","):
-                chunk = chunk.strip().lower()
-                availability = None if chunk in ("unlimited", "inf") else int(chunk)
-                if availability in parsed:
-                    raise ValueError(f"availabilities: {chunk!r} repeats an earlier entry")
-                parsed.append(availability)
-            availabilities = tuple(parsed)
-        config = ExperimentConfig(
-            n_sellers=int(values.get("n_sellers", 20)),
-            seed=int(values.get("seed", 0)),
-            availabilities=availabilities,
-            q_max=int(values.get("q_max", 200)),
-            method=values.get("method", "exact"),
-        )
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
-    if config.method not in ("exact", "greedy"):
-        raise ParseError(path, 1, f"method must be exact or greedy, got {config.method!r}")
-    return config
+    fields: dict[str, object] = {}
+    for key, (line_no, value) in lines.items():
+        try:
+            if key in ("n_sellers", "seed", "q_max"):
+                fields[key] = int(value)
+            elif key == "method":
+                if value not in ("exact", "greedy"):
+                    raise ValueError(f"must be exact or greedy, got {value!r}")
+                fields[key] = value
+            elif key == "availabilities":
+                parsed: list[int | None] = []
+                for chunk in value.split(","):
+                    chunk = chunk.strip().lower()
+                    availability = None if chunk in ("unlimited", "inf") else int(chunk)
+                    if availability in parsed:
+                        raise ValueError(f"{chunk!r} repeats an earlier entry")
+                    parsed.append(availability)
+                fields[key] = tuple(parsed)
+            else:
+                raise ValueError("unknown config key")
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"{key}: {exc}") from None
+    return ExperimentConfig(**fields)
 
 
 def experiment_comments(config: ExperimentConfig) -> list[str]:
@@ -399,15 +399,15 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _seconds(value, name: str) -> float:
-    """A scenario time or duration: `10`, `10.5` and `"10"` pass; `true`, NaN and inf do not."""
+def _finite(value, name: str) -> float:
+    """An input number: `10`, `10.5` and `"10"` pass; `true`, NaN and inf do not."""
     if not isinstance(value, bool):
         try:
-            seconds = float(value)
+            number = float(value)
         except (TypeError, ValueError):
-            seconds = math.nan
-        if math.isfinite(seconds):
-            return seconds
+            number = math.nan
+        if math.isfinite(number):
+            return number
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -459,7 +459,7 @@ def read_scenario(path: str) -> Scenario:
         raise _scenario_error(path, "config must be an object")
     try:
         config = FairConfig(
-            max_duration=_seconds(
+            max_duration=_finite(
                 cfg_raw.get("max_duration", FairConfig.max_duration), "max_duration"
             ),
             margin=ratio(str(cfg_raw.get("margin", "0.05"))),
@@ -471,7 +471,7 @@ def read_scenario(path: str) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise _scenario_error(path, f"config: {exc}") from None
     try:
-        opened_at = _seconds(data.get("opened_at", 0.0), "opened_at")
+        opened_at = _finite(data.get("opened_at", 0.0), "opened_at")
     except ValueError as exc:
         raise _scenario_error(path, str(exc)) from None
 
@@ -481,7 +481,7 @@ def read_scenario(path: str) -> Scenario:
         if not isinstance(raw, dict) or "at" not in raw or "action" not in raw:
             raise _scenario_error(path, f"events[{i}] needs `at` and `action`")
         try:
-            at = _seconds(raw["at"], "timestamp")
+            at = _finite(raw["at"], "timestamp")
         except ValueError as exc:
             raise _scenario_error(path, f"events[{i}]: {exc}") from None
         if at < last_at:
@@ -506,7 +506,9 @@ def read_scenario(path: str) -> Scenario:
                             social_actions=_whole(
                                 hist.get("social_actions", 0), "social_actions"
                             ),
-                            join_earliness=float(hist.get("join_earliness", 0.0)),
+                            join_earliness=_finite(
+                                hist.get("join_earliness", 0.0), "join_earliness"
+                            ),
                         )
                     )
                 else:
@@ -514,11 +516,11 @@ def read_scenario(path: str) -> Scenario:
                 dest = None
                 if "destination" in raw:
                     dx, dy = raw["destination"]
-                    dest = Position(float(dx), float(dy))
+                    dest = Position(_finite(dx, "destination"), _finite(dy, "destination"))
                 order = BuyerOrder(
                     buyer_id=str(raw["buyer_id"]),
                     quantity=_whole(raw["quantity"], "quantity"),
-                    max_wait=_seconds(raw["max_wait"], "max_wait"),
+                    max_wait=_finite(raw["max_wait"], "max_wait"),
                     join_time=at,
                     payment_timing=timing,
                     destination=dest,

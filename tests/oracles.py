@@ -56,3 +56,21 @@ def scan_dp_tables(sellers, q_max):
         key = best
         choices.append(choice)
     return key, choices
+
+
+def scan_allocation(sellers, q):
+    """The exact solver's split of q, rebuilt from scan_dp_tables.
+
+    Returns the quantity per seller id (sellers supplying nothing left
+    out), or None when the sellers cannot supply q.
+    """
+    key, choices = scan_dp_tables(sellers, q)
+    if key[q] is None:
+        return None
+    split = {}
+    ordered = sorted(sellers, key=lambda s: s.id)
+    for seller, choice in zip(reversed(ordered), reversed(choices)):
+        if choice[q]:
+            split[seller.id] = choice[q]
+            q -= choice[q]
+    return split

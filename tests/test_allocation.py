@@ -388,12 +388,14 @@ def small_curves(draw):
 
 
 @st.composite
-def small_markets(draw):
-    """Up to 4 sellers with stock <= 6, and a demand horizon <= 12."""
+def small_markets(draw, unlimited=False):
+    """Up to 4 sellers with stock <= 6 (or unlimited, if allowed), and a demand horizon <= 12."""
+    stock = st.integers(0, 6)
+    if unlimited:
+        stock = st.one_of(st.none(), stock)
     n = draw(st.integers(1, 4))
     sellers = [
-        Seller(f"S{i}", draw(small_curves()), availability=draw(st.integers(0, 6)))
-        for i in range(n)
+        Seller(f"S{i}", draw(small_curves()), availability=draw(stock)) for i in range(n)
     ]
     return sellers, draw(st.integers(1, 12))
 
@@ -410,3 +412,15 @@ def test_curve_price_is_plain_cost_over_quantity(market):
             assert point.price_cents == fair_unit_price(alloc, sellers)
             if method == "exact":
                 assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)
+
+
+@settings(deadline=None)
+@given(small_markets(unlimited=True))
+def test_curve_points_do_not_depend_on_the_horizon(market):
+    # a settlement reads point q of a curve built to the fair's horizon, and
+    # optimal_allocation reads it from a curve built to q: both are one point
+    sellers, horizon = market
+    for point in fair_price_curve(sellers, horizon).points:
+        short = fair_price_curve(sellers, point.q).points[point.q - 1]
+        assert (short.price_cents, short.allocation) == (point.price_cents, point.allocation)
+        assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from fair_engine.cli import main
+from fair_engine.curves import LinearPlateauCurve
 
 AB_CROSSOVER = "A,linear,100,5,70\nB,linear,110,8,60\n"
 CAPPED = "A,linear,10,1,8,2\nB,linear,12,1,9,2\n"
@@ -81,6 +83,22 @@ class TestAllocate:
     def test_infeasible_demand_exits_3(self, capped_file, capsys):
         assert main(["allocate", capped_file, "9"]) == 3
         assert "short by 5" in capsys.readouterr().err
+
+    def test_impossible_demand_is_refused_up_front(self, tmp_path, monkeypatch, capsys):
+        # one unlimited seller and q = 10^8 would fill 10^16 DP cells; the
+        # refusal comes before any price is read, so a solver that started
+        # the sweep fails here at once instead of running for minutes
+        def unpriced(self, q):
+            raise AssertionError("the DP started")
+
+        monkeypatch.setattr(LinearPlateauCurve, "price_at", unpriced)
+        path = tmp_path / "unlimited.csv"
+        path.write_text("U,linear,100,1,50,unlimited\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["allocate", str(path), "100000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "demand 100000000" in err and f"budget of {1 << 30}" in err
 
 
 class TestCurve:
@@ -214,6 +232,10 @@ class TestFairSim:
             ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
                "max_wait": True}], {}, "events[0]: max_wait"),
             ([], {"max_duration": True}, "config: max_duration"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+               "max_wait": 100, "destination": [True, False]}], {}, "events[0]: destination"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1, "max_wait": 100,
+               "history": {"join_earliness": True}}], {}, "events[0]: join_earliness"),
         ],
     )
     def test_non_finite_input_exits_2(self, tmp_path, capsys, events, config, where):
@@ -300,6 +322,15 @@ class TestExperiment:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["experiment", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_config_error_names_the_key_and_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_sellers = 4\nseed = 1\n# note\n\nq_max = x8\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:5: q_max: invalid literal")
+        assert not out.exists()
 
     def test_repeated_availability_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

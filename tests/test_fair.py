@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scan_allocation
 
-import fair_engine.fair as fair_module
+import fair_engine.allocation as allocation_module
 from fair_engine.allocation import (
     InfeasibleDemandError,
     Seller,
@@ -227,23 +228,25 @@ WHAT_IF = tuple(range(1, 9))
 class TestOutlookCache:
     def test_join_and_check_end_share_one_curve(self, monkeypatch):
         calls = []
+        dp_tables = allocation_module._dp_tables
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return fair_price_curve(*args, **kwargs)
+            return dp_tables(*args, **kwargs)
 
-        monkeypatch.setattr(fair_module, "fair_price_curve", counted)
+        monkeypatch.setattr(allocation_module, "_dp_tables", counted)
         sellers = interior_minimum_sellers()
         ledger = SellerLedger(sellers)
         fair = open_fair("paper", sellers, FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 2), ledger=ledger, what_if=WHAT_IF)
         assert fair.check_end(0.5 * DAY, ledger=ledger) is FairStatus.RUNNING
         assert len(calls) == 1
-        # unchanged stock: the next join reuses the curve too
+        # unchanged stock: the next join reuses the curve too, and so does the settle
         fair.join(order("b2", 3), ledger=ledger)
         assert fair.check_end(0.5 * DAY, ledger=ledger) is FairStatus.ENDED_BY_OPTIMAL_PRICE
+        fair.settle(ledger=ledger)
         assert len(calls) == 1
-        assert fair._cached_outlook is None  # an ended fair keeps no curve
+        assert fair._cached_outlook is None  # a settled fair keeps no curve
 
     def test_settlement_elsewhere_refreshes_the_prediction(self):
         sellers = interior_minimum_sellers()
@@ -310,10 +313,15 @@ class TestOutlookCache:
                 FairStatus.ENDED_BY_TIME,
                 FairStatus.ENDED_BY_OPTIMAL_PRICE,
             ):
+                # the other fair may have taken the stock this one counted on
+                expected = scan_allocation(ledger.effective_sellers(sellers), fair.demand)
                 try:
-                    fair.settle(ledger=ledger)
+                    settlement = fair.settle(ledger=ledger)
                 except InfeasibleDemandError:
-                    pass  # the other fair took the stock this one counted on
+                    assert expected is None
+                else:
+                    entries = settlement.allocation.entries if settlement.allocation else ()
+                    assert {e.seller_id: e.quantity for e in entries} == expected
                 try:
                     fairs[slot] = open_fair("paper", sellers, config, ledger=ledger)
                 except ValueError:

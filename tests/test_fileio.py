@@ -102,6 +102,20 @@ class TestPositionsCsv:
         with pytest.raises(ParseError):
             parse_position_rows([["b1", "x", "0.0", "1"]])
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            (["b1", "1.0", "1.0", "nan"], "timestamp"),
+            (["b1", "1.0", "1.0", "inf"], "timestamp"),
+            (["b1", "nan", "1.0", "5"], "x"),
+            (["b1", "1.0", "-inf", "5"], "y"),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, row, field):
+        # a NaN timestamp would pass PositionHistory's order check
+        with pytest.raises(ParseError, match=f"<positions>:2: {field} must be a finite number"):
+            parse_position_rows([["b1", "0.0", "0.0", "1"], row])
+
 
 class TestShippingPlanOutput:
     def test_plan_csv_carries_coordinate_note_and_total(self):
@@ -202,6 +216,22 @@ class TestExperimentConfig:
             read_experiment_config(str(path))
 
     @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("n_sellers = 4\nseed = 1\n# note\n\nq_max = x8\n", 5, "q_max: invalid literal"),
+            ("seed = 1\nmethod = magic\n", 2, "method: must be exact or greedy"),
+            ("seed = 1\nq_max = 8\navailabilities = 3, x\n", 3, "availabilities: invalid"),
+            ("seed = 1\nsellers = 3\nbogus = 1\n", 2, "sellers: unknown config key"),
+        ],
+    )
+    def test_errors_name_the_key_and_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: {message}")) as err:
+            read_experiment_config(str(path))
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
         "entries, repeated", [("3, 3, unlimited", "'3'"), ("unlimited, 4, inf", "'inf'")]
     )
     def test_rejects_repeated_availability(self, tmp_path, entries, repeated):
@@ -295,6 +325,15 @@ class TestScenario:
             ({"events": [{"at": True, "action": "advance"}]}, "events[0]: timestamp"),
             ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
                           "max_wait": True}]}, "events[0]: max_wait"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "destination": [True, False]}]},
+             "events[0]: destination"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "destination": [0, "nan"]}]},
+             "events[0]: destination"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "history": {"join_earliness": True}}]},
+             "events[0]: join_earliness"),
         ],
     )
     def test_rejects_non_finite_numbers(self, tmp_path, change, where):
