@@ -37,9 +37,6 @@ EXIT_INTERNAL = 4
 def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--out", help=out_help)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed override (experiment only)"
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="seeded availability-sweep experiment")
     p.add_argument("config", help="key = value config file")
     _add_common(p, "output directory (default: current directory)")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
 
@@ -169,9 +167,8 @@ def cmd_fair_sim(args) -> int:
     ]
 
     for event in scenario.events:
-        if fair.status is not FairStatus.RUNNING:
-            break
-        if event.action == "join":
+        # a join at or after the deadline is not taken: check_end ends the fair by time
+        if event.action == "join" and event.at < fair.deadline:
             prediction = fair.join(event.order, ledger=ledger, what_if=scenario.what_if)
             records.append(
                 {
@@ -188,11 +185,10 @@ def cmd_fair_sim(args) -> int:
                     "what_if": [[q, _price_str(z)] for q, z in prediction.what_if],
                 }
             )
-        status = fair.check_end(event.at, ledger=ledger)
-        if status is not FairStatus.RUNNING:
+        if fair.check_end(event.at, ledger=ledger) is not FairStatus.RUNNING:
             records.append(_end_record(fair, event.at))
-
-    if fair.status is FairStatus.RUNNING:
+            break
+    else:
         fair.check_end(fair.deadline, ledger=ledger)
         records.append(_end_record(fair, fair.deadline))
 

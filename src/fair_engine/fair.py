@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from .allocation import (
     Allocation,
+    AllocationEntry,
     FairPriceCurve,
     InfeasibleDemandError,
     OptimalPoint,
@@ -46,7 +47,6 @@ __all__ = [
     "Fair",
     "PricePrediction",
     "BuyerCharge",
-    "SellerPayment",
     "Settlement",
     "SellerLedger",
     "LifecycleError",
@@ -213,14 +213,6 @@ class BuyerCharge:
 
 
 @dataclass(frozen=True)
-class SellerPayment:
-    seller_id: str
-    quantity: int
-    unit_price_cents: Cents
-    payment_cents: Cents
-
-
-@dataclass(frozen=True)
 class Settlement:
     """Final money flows of one fair; buyer totals cover seller payments.
 
@@ -231,7 +223,7 @@ class Settlement:
     fair_id: str
     allocation: Allocation | None
     buyer_charges: tuple[BuyerCharge, ...]
-    seller_payments: tuple[SellerPayment, ...]
+    seller_payments: tuple[AllocationEntry, ...]
     buyers_total_cents: Fraction
     sellers_total_cents: Cents
     manager_revenue_cents: Fraction
@@ -300,6 +292,18 @@ class SellerLedger:
                 self._committed[entry.seller_id] += entry.quantity
 
 
+def _prediction(
+    curve: FairPriceCurve, optimal: OptimalPoint, demand: int, what_if: Sequence[int]
+) -> PricePrediction:
+    """The price at `demand` and at each what-if demand; None past the curve."""
+    n = len(curve.points)
+    prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
+    return PricePrediction(
+        demand=demand, current_price_cents=prices[0], optimal=optimal,
+        what_if=tuple(zip(what_if, prices[1:])),
+    )
+
+
 def _effective_sellers(sellers: Sequence[Seller], ledger: SellerLedger | None) -> list[Seller]:
     """The sellers with their stock reduced by the ledger's commitments, if any."""
     return list(sellers) if ledger is None else ledger.effective_sellers(sellers)
@@ -315,9 +319,9 @@ class Fair:
     The outlook (fair price curve and its optimum) is cached per stock
     state: keyed on the horizon and the effective sellers' remaining
     stock, which is all the curve depends on for a fixed seller set and
-    config.  It is the fair's one source of prices and allocations: joins,
-    predictions and end checks read prices from it, and settlement takes
-    the curve's point at the final demand.  It is dropped at settlement.
+    config.  It is the fair's one source of stock, prices and allocations:
+    a join is admitted and priced from it before it changes the fair, and
+    settlement takes the curve's point at the final demand (then drops it).
     """
 
     fair_id: str
@@ -363,12 +367,7 @@ class Fair:
         curve, optimal = self._outlook(ledger, demand)
         if optimal is None:
             raise InfeasibleDemandError(max(demand, 1), 0)
-        n = len(curve.points)
-        prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
-        return PricePrediction(
-            demand=demand, current_price_cents=prices[0], optimal=optimal,
-            what_if=tuple(zip(what_if, prices[1:])),
-        )
+        return _prediction(curve, optimal, demand, what_if)
 
     def join(
         self,
@@ -378,8 +377,8 @@ class Fair:
     ) -> PricePrediction:
         """Add a buyer order; the deadline can only move earlier.
 
-        The join is rejected when the fair is past its deadline or the new
-        aggregate demand exceeds what the sellers can still supply.
+        A join past the deadline, or beyond what the sellers can still
+        supply at the new aggregate demand, is rejected and changes nothing.
         """
         if self.status is not FairStatus.RUNNING:
             raise LifecycleError(f"fair {self.fair_id} is not running")
@@ -391,14 +390,14 @@ class Fair:
         if any(o.buyer_id == order.buyer_id for o in self.orders):
             raise ValueError(f"buyer {order.buyer_id} already joined {self.fair_id}")
 
-        new_demand = self.demand + order.quantity
-        supply = total_availability(_effective_sellers(self.sellers, ledger))
-        if supply is not None and new_demand > supply:
-            raise InfeasibleDemandError(new_demand, supply)
+        demand = self.demand + order.quantity
+        curve, optimal = self._outlook(ledger, demand)
+        if demand > len(curve.points):
+            raise InfeasibleDemandError(demand, curve.q_feasible_max)
 
         self.orders.append(order)
         self.deadline = min(self.deadline, order.join_time + order.max_wait)
-        return self.predict(what_if=what_if, ledger=ledger)
+        return _prediction(curve, optimal, demand, what_if)
 
     def check_end(
         self, now: float, ledger: SellerLedger | None = None
@@ -442,7 +441,7 @@ class Fair:
             )
         when = self.deadline if settled_at is None else settled_at
         demand = self.demand
-        allocation, cost, payments = None, 0, ()
+        allocation, cost = None, 0
         if demand:
             curve, _ = self._outlook(ledger, demand)
             if demand > len(curve.points):
@@ -451,15 +450,6 @@ class Fair:
             if ledger is not None:
                 ledger.commit(allocation)
             cost = allocation.total_cost_cents
-            payments = tuple(
-                SellerPayment(
-                    seller_id=entry.seller_id,
-                    quantity=entry.quantity,
-                    unit_price_cents=entry.unit_price_cents,
-                    payment_cents=entry.cost_cents,
-                )
-                for entry in allocation.entries
-            )
         margin = self.config.margin
         discount = self.config.fidelity_discount
         weights = [(order, 1 - discount * order.fidelity) for order in self.orders]
@@ -482,7 +472,7 @@ class Fair:
             fair_id=self.fair_id,
             allocation=allocation,
             buyer_charges=tuple(charges),
-            seller_payments=payments,
+            seller_payments=() if allocation is None else allocation.entries,
             buyers_total_cents=buyers_total,
             sellers_total_cents=cost,
             manager_revenue_cents=buyers_total - cost,

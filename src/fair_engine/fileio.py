@@ -269,7 +269,7 @@ def settlement_buyer_rows(settlement: Settlement) -> tuple[list[str], list[Row]]
 def settlement_seller_rows(settlement: Settlement) -> tuple[list[str], list[Row]]:
     header = ["seller_id", "q", "unit_price", "payment"]
     rows = [
-        [p.seller_id, p.quantity, cu_str(p.unit_price_cents), cu_str(p.payment_cents)]
+        [p.seller_id, p.quantity, cu_str(p.unit_price_cents), cu_str(p.cost_cents)]
         for p in settlement.seller_payments
     ]
     return header, rows
@@ -434,8 +434,12 @@ def read_scenario(path: str) -> Scenario:
         product_id = data["product_id"]
         seller_rows = data["sellers"]
         raw_events = data.get("events", [])
+        raw_what_if = data.get("what_if", [])
     except KeyError as exc:
         raise _scenario_error(path, f"missing key {exc.args[0]!r}") from None
+    for key, value in (("sellers", seller_rows), ("events", raw_events), ("what_if", raw_what_if)):
+        if not isinstance(value, list):
+            raise _scenario_error(path, f"{key} must be a list")
 
     sellers = []
     for i, row in enumerate(seller_rows):
@@ -536,9 +540,6 @@ def read_scenario(path: str) -> Scenario:
         else:
             raise _scenario_error(path, f"events[{i}]: unknown action {action!r}")
 
-    raw_what_if = data.get("what_if", [])
-    if not isinstance(raw_what_if, list):
-        raise _scenario_error(path, "what_if must be a list")
     what_if = []
     for i, q in enumerate(raw_what_if):
         try:

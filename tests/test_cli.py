@@ -100,6 +100,21 @@ class TestAllocate:
         err = capsys.readouterr().err
         assert "demand 100000000" in err and f"budget of {1 << 30}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "curves.csv"],
+            ["allocate", "curves.csv", "3"],
+            ["curve", "curves.csv"],
+            ["fair-sim", "scenario.json"],
+        ],
+    )
+    def test_seed_belongs_to_experiment_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_per_seller_sweep(self, ab_file, tmp_path):
@@ -198,6 +213,28 @@ class TestFairSim:
         diff = Fraction(settle["buyers_total"]) - Fraction(settle["sellers_total"])
         assert diff == Fraction(settle["manager_revenue"])
 
+    def test_join_after_the_deadline_ends_the_fair_by_time(self, tmp_path):
+        scenario = base_scenario(
+            [
+                {"at": 10, "action": "join", "buyer_id": "b1", "quantity": 2,
+                 "max_wait": 100},
+                {"at": 200, "action": "join", "buyer_id": "b2", "quantity": 1,
+                 "max_wait": 100},
+            ]
+        )
+        scenario["sellers"] = scenario["sellers"][:1]
+        out = tmp_path / "sim"
+        assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 0
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["event"] for e in events] == ["open", "join", "end", "settle"]
+        assert events[1]["buyer_id"] == "b1"
+        end = events[2]
+        assert (end["event"], end["at"], end["status"]) == ("end", 200.0, "ended_by_time")
+        settle = events[3]
+        assert settle["at"] == 110.0
+        assert [b["buyer_id"] for b in settle["buyers"]] == ["b1"]
+        assert sum(s["q"] for s in settle["sellers"]) == 2
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"product_id": "x"}), encoding="utf-8")
@@ -257,6 +294,9 @@ class TestFairSim:
                "max_wait": 100, "history": 5}], {}, "events[0]: history must be an object"),
             ([], {"what_if": ["x"]}, "what_if[0]"),
             ([], {"opened_at": False}, "opened_at must be a finite number"),
+            ([], {"sellers": 5}, "sellers must be a list"),
+            ([], {"events": 7}, "events must be a list"),
+            ([], {"events": {"at": 1}}, "events must be a list"),
         ],
     )
     def test_malformed_integer_field_exits_2(self, tmp_path, capsys, events, extra, where):

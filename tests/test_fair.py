@@ -116,6 +116,16 @@ class TestJoin:
         assert err.value.shortfall == 1
         assert fair.demand == 2  # rejected join leaves the book unchanged
 
+    def test_join_refused_by_the_dp_budget_leaves_the_fair_unchanged(self):
+        # one unlimited seller and q = 10^8: the exact solver refuses the sweep
+        fair = open_fair("paper", [flat_seller(10)])
+        deadline = fair.deadline
+        with pytest.raises(ValueError, match="budget"):
+            fair.join(order("b1", 100_000_000, max_wait=500.0))
+        assert (fair.orders, fair.demand, fair.deadline) == ([], 0, deadline)
+        fair.join(order("b1", 2, max_wait=500.0))
+        assert (fair.demand, fair.deadline) == (2, 501.0)
+
     def test_duplicate_buyer_is_rejected(self):
         fair = open_fair("paper", [flat_seller(10)])
         fair.join(order("b1", 1))
@@ -247,6 +257,22 @@ class TestOutlookCache:
         fair.settle(ledger=ledger)
         assert len(calls) == 1
         assert fair._cached_outlook is None  # a settled fair keeps no curve
+
+    def test_join_event_reads_the_ledger_twice(self, monkeypatch):
+        reads = []
+        effective_sellers = SellerLedger.effective_sellers
+
+        def counted(self, sellers):
+            reads.append(sellers)
+            return effective_sellers(self, sellers)
+
+        sellers = interior_minimum_sellers()
+        ledger = SellerLedger(sellers)
+        fair = open_fair("paper", sellers, FairConfig(max_duration=DAY), ledger=ledger)
+        monkeypatch.setattr(SellerLedger, "effective_sellers", counted)
+        fair.join(order("b1", 2), ledger=ledger, what_if=WHAT_IF)
+        fair.check_end(0.5 * DAY, ledger=ledger)
+        assert len(reads) == 2  # the join admits and prices from one read
 
     def test_settlement_elsewhere_refreshes_the_prediction(self):
         sellers = interior_minimum_sellers()

@@ -387,6 +387,9 @@ class TestScenario:
              "events[0]: history must be an object"),
             ({"what_if": ["x"]}, "what_if[0]: invalid literal"),
             ({"what_if": "12"}, "what_if must be a list"),
+            ({"sellers": 5}, "sellers must be a list"),
+            ({"events": 7}, "events must be a list"),
+            ({"events": {"at": 1}}, "events must be a list"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, change, message):
