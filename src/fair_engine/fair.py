@@ -319,9 +319,10 @@ class Fair:
     The outlook (fair price curve and its optimum) is cached per stock
     state: keyed on the horizon and the effective sellers' remaining
     stock, which is all the curve depends on for a fixed seller set and
-    config.  It is the fair's one source of stock, prices and allocations:
-    a join is admitted and priced from it before it changes the fair, and
-    settlement takes the curve's point at the final demand (then drops it).
+    config.  It is the fair's one source of prices and allocations: a join
+    is refused for short stock before any curve is built, then admitted and
+    priced from the outlook before it changes the fair, and settlement takes
+    the curve's point at the final demand (then drops it).
     """
 
     fair_id: str
@@ -340,14 +341,13 @@ class Fair:
         return sum(order.quantity for order in self.orders)
 
     def _outlook(
-        self, ledger: SellerLedger | None, demand: int
+        self, sellers: list[Seller], demand: int
     ) -> tuple[FairPriceCurve, OptimalPoint | None]:
-        """Build (or reuse) the fair price curve out to `demand` and its optimum.
+        """Build (or reuse) the curve of the effective `sellers` to `demand`, and its optimum.
 
         The optimum is None when no stock is left (empty curve).
         """
         horizon = max(self.config.curve_horizon, demand)
-        sellers = _effective_sellers(self.sellers, ledger)
         key = (horizon, tuple(seller.availability for seller in sellers))
         if self._cached_outlook is None or self._cached_outlook[0] != key:
             curve = fair_price_curve(sellers, horizon)
@@ -364,7 +364,7 @@ class Fair:
         if self.status is not FairStatus.RUNNING:
             raise LifecycleError(f"fair {self.fair_id} is not running")
         demand = self.demand
-        curve, optimal = self._outlook(ledger, demand)
+        curve, optimal = self._outlook(_effective_sellers(self.sellers, ledger), demand)
         if optimal is None:
             raise InfeasibleDemandError(max(demand, 1), 0)
         return _prediction(curve, optimal, demand, what_if)
@@ -391,9 +391,11 @@ class Fair:
             raise ValueError(f"buyer {order.buyer_id} already joined {self.fair_id}")
 
         demand = self.demand + order.quantity
-        curve, optimal = self._outlook(ledger, demand)
-        if demand > len(curve.points):
-            raise InfeasibleDemandError(demand, curve.q_feasible_max)
+        sellers = _effective_sellers(self.sellers, ledger)
+        supply = total_availability(sellers)
+        if supply is not None and demand > supply:
+            raise InfeasibleDemandError(demand, supply)
+        curve, optimal = self._outlook(sellers, demand)
 
         self.orders.append(order)
         self.deadline = min(self.deadline, order.join_time + order.max_wait)
@@ -414,7 +416,7 @@ class Fair:
         if now >= self.deadline:
             self.status = FairStatus.ENDED_BY_TIME
         elif demand >= 1:
-            curve, optimal = self._outlook(ledger, demand)
+            curve, optimal = self._outlook(_effective_sellers(self.sellers, ledger), demand)
             if demand <= len(curve.points) and demand >= optimal.q_star and (
                 curve.price_at(demand) == optimal.z_star_cents
             ):
@@ -443,7 +445,7 @@ class Fair:
         demand = self.demand
         allocation, cost = None, 0
         if demand:
-            curve, _ = self._outlook(ledger, demand)
+            curve, _ = self._outlook(_effective_sellers(self.sellers, ledger), demand)
             if demand > len(curve.points):
                 raise InfeasibleDemandError(demand, curve.q_feasible_max)
             allocation = curve.points[demand - 1].allocation

@@ -116,6 +116,22 @@ class TestJoin:
         assert err.value.shortfall == 1
         assert fair.demand == 2  # rejected join leaves the book unchanged
 
+    def test_join_beyond_a_large_stock_is_refused_before_any_curve(self, monkeypatch):
+        # a curve out to 40,001 units of one 40,000-unit seller is 1.6e9 DP cells
+        fair = open_fair("paper", [flat_seller(10, availability=40_000)])
+        fair.join(order("b1", 1))
+        cached = fair._cached_outlook
+
+        def no_curve(sellers, q_max):
+            raise AssertionError(f"curve to {q_max} built for a refused join")
+
+        monkeypatch.setattr("fair_engine.fair.fair_price_curve", no_curve)
+        with pytest.raises(InfeasibleDemandError) as err:
+            fair.join(order("b2", 40_000, join_time=2.0))
+        assert (err.value.demand, err.value.shortfall) == (40_001, 1)
+        assert fair._cached_outlook is cached
+        assert fair.demand == 1
+
     def test_join_refused_by_the_dp_budget_leaves_the_fair_unchanged(self):
         # one unlimited seller and q = 10^8: the exact solver refuses the sweep
         fair = open_fair("paper", [flat_seller(10)])
