@@ -13,13 +13,21 @@ state; total cost is separable per seller but non-convex (the plateau kink
 breaks marginal-cost arguments), so enumerating per-seller quantities is the
 sound route.  One DP sweep yields optima for every demand 1..q_max at once,
 which is what the fair-level price curve needs.
+
+A fair price curve of either method reads each seller's curve once, as an
+integer price table, and prices every demand from one sweep over those
+tables: the DP for the exact method, a blocked rank-and-fill for the greedy
+one.  Its points rebuild their allocations only when read, from the DP
+choice arrays or by calling `greedy_allocation`, which stays the reference
+for a single greedy demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -210,6 +218,43 @@ _DP_BLOCK_CELLS = 1 << 18  # candidate cells per numpy step, so memory stays O(q
 _DP_CELL_BUDGET = 1 << 30  # most cells one sweep may fill; n=200 unlimited q=2000 is 8.0e8
 
 
+def _price_tables(ordered: Sequence[Seller], q_cap: int) -> list[list[Cents]]:
+    """Each seller's unit prices for x = 0..capacity, read once per curve build."""
+    return [s.curve.price_table(s.capacity(q_cap)) for s in ordered]
+
+
+def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
+    """Total cost of the greedy fill for every demand 1..q_cap, in one sweep.
+
+    The sweep reads the price tables of the sellers with stock, in id order,
+    laid end to end.  At demand q a seller covers C = min(q, capacity); a
+    stable argsort on the price at C ranks the sellers, so ties go to the
+    lower id as in `greedy_allocation`; a cumsum of the ranked C, clipped to
+    each C, gives the fills; the cost is the sum of take * price(take).
+    Demands come in blocks of at most _DP_BLOCK_CELLS (demand, seller)
+    cells.  The arithmetic is int64 when sum(capacity * price(1)) fits and
+    Python ints otherwise, so no cost scale is refused.
+    """
+    usable = sorted((s for s in sellers if s.capacity(q_cap) > 0), key=lambda s: s.id)
+    if not usable:
+        return []
+    tables = _price_tables(usable, q_cap)
+    caps = np.array([len(t) - 1 for t in tables], dtype=np.int64)
+    offsets = np.cumsum(caps + 1) - (caps + 1)
+    cost_bound = sum((len(t) - 1) * t[1] for t in tables)
+    dtype = np.int64 if cost_bound < (1 << 63) else object
+    flat = np.array([p for t in tables for p in t], dtype=dtype)
+    step = max(1, _DP_BLOCK_CELLS // len(usable))
+    costs: list[Cents] = []
+    for lo in range(1, q_cap + 1, step):
+        q = np.arange(lo, min(lo + step, q_cap + 1), dtype=np.int64)[:, None]
+        rank = np.argsort(flat[offsets + np.minimum(q, caps)], axis=1, kind="stable")
+        cover = np.minimum(q, caps[rank])
+        take = np.clip(q - (np.cumsum(cover, axis=1) - cover), 0, cover)
+        costs += (take * flat[offsets[rank] + take]).sum(axis=1).tolist()
+    return costs
+
+
 def _dp_tables(
     sellers: Sequence[Seller], q_max: int
 ) -> tuple[np.ndarray, list[np.ndarray], list[Seller], int]:
@@ -226,7 +271,8 @@ def _dp_tables(
     unreachable key stays above _INF, so it never wins.
 
     A sweep fills sum(capacity) * (q_max + 1) cells; one over the budget is
-    refused before any price is read or array allocated.
+    refused before any price is read or array allocated.  A seller with no
+    stock gets a shared read-only choice array of zeros and no blocks.
     """
     cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
     if cells > _DP_CELL_BUDGET:
@@ -243,13 +289,20 @@ def _dp_tables(
     key[0] = 0
     rows = np.arange(q_max + 1)
     step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
+    no_stock = np.zeros(q_max + 1, dtype=np.int32)  # every seller without stock shares it
+    no_stock.flags.writeable = False
+    tables = _price_tables(ordered, q_max)
+    # one candidate buffer for every block, so only one block is held at a time
+    block = np.empty((q_max + 1, min(step, max(map(len, tables)))), dtype=np.int64)
     choices: list[np.ndarray] = []
-    for seller in ordered:
-        x_max = seller.capacity(q_max)
-        delta = np.array(  # x = 0 uses no seller
-            [0] + [x * seller.curve.price_at(x) * width + 1 for x in range(1, x_max + 1)],
-            dtype=np.int64,
-        )
+    for table in tables:
+        x_max = len(table) - 1
+        if x_max == 0:  # a seller with no stock leaves every key as it was
+            choices.append(no_stock)
+            continue
+        x = np.arange(x_max + 1, dtype=np.int64)
+        delta = x * np.array(table, dtype=np.int64) * width + 1
+        delta[0] = 0  # x = 0 uses no seller
         padded = np.full(x_max + q_max + 1, _INF, dtype=np.int64)
         padded[x_max:] = key  # padded[x_max + i] is key[i], _INF for i < 0
         stride = padded.strides[0]
@@ -262,7 +315,7 @@ def _dp_tables(
                 strides=(stride, -stride),
                 writeable=False,
             )
-            cand = shifted + delta[lo:hi]
+            cand = np.add(shifted, delta[lo:hi], out=block[:, : hi - lo])
             pick = cand.argmin(axis=1)
             value = cand[rows, pick]
             if lo == 0:
@@ -276,9 +329,7 @@ def _dp_tables(
     return key, choices, ordered, width
 
 
-def _reconstruct(
-    choices: list[np.ndarray], ordered: Sequence[Seller], q: int
-) -> list[tuple[Seller, int]]:
+def _reconstruct(choices: list[np.ndarray], ordered: Sequence[Seller], q: int) -> Allocation:
     fills: list[tuple[Seller, int]] = []
     remaining = q
     for seller, choice in zip(reversed(ordered), reversed(choices)):
@@ -287,7 +338,7 @@ def _reconstruct(
             fills.append((seller, x))
             remaining -= x
     assert remaining == 0, "DP reconstruction must consume the whole demand"
-    return fills
+    return _build_allocation(fills)
 
 
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -305,12 +356,14 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
 class FairPricePoint:
     """One demand on a fair price curve: its unit price and the allocation behind it.
 
-    A point of an exact curve keeps the DP tables instead of an allocation
-    and rebuilds the allocation the first time it is read: a fair reads the
-    prices on every join, the allocations only when they are written out.
+    A point of a built curve keeps a `source` instead of an allocation and
+    calls `source(q)` the first time the allocation is read: on an exact
+    curve it rebuilds the split from the DP choice arrays, on a greedy curve
+    it is `greedy_allocation(sellers, q)`.  A fair reads the prices on every
+    join, the allocations only when they are written out.
     """
 
-    __slots__ = ("q", "price_cents", "_allocation", "_tables")
+    __slots__ = ("q", "price_cents", "_allocation", "_source")
 
     def __init__(
         self,
@@ -318,20 +371,19 @@ class FairPricePoint:
         price_cents: Fraction,
         allocation: Allocation | None = None,
         *,
-        tables: tuple[list[np.ndarray], list[Seller]] | None = None,
+        source: Callable[[int], Allocation] | None = None,
     ):
-        if (allocation is None) == (tables is None):
-            raise ValueError("a fair price point needs an allocation or the DP tables")
+        if (allocation is None) == (source is None):
+            raise ValueError("a fair price point needs an allocation or a source of one")
         self.q = q
         self.price_cents = price_cents
         self._allocation = allocation
-        self._tables = tables
+        self._source = source
 
     @property
     def allocation(self) -> Allocation:
         if self._allocation is None:
-            choices, ordered = self._tables
-            self._allocation = _build_allocation(_reconstruct(choices, ordered, self.q))
+            self._allocation = self._source(self.q)
         return self._allocation
 
     def __eq__(self, other: object) -> bool:
@@ -381,8 +433,9 @@ def fair_price_curve(
 ) -> FairPriceCurve:
     """Sweep demands 1..q_max and record the price and allocation per demand.
 
-    The exact method prices every demand from one DP sweep; each point's
-    allocation is rebuilt from the DP tables when it is first read.
+    Each method prices every demand from one sweep over the sellers' price
+    tables: the DP for the exact method, `_greedy_costs` for the greedy one.
+    Each point's allocation is rebuilt when it is first read.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -397,16 +450,16 @@ def fair_price_curve(
     points: list[FairPricePoint] = []
     if method == "exact" and q_cap >= 1:
         key, choices, ordered, width = _dp_tables(sellers, q_cap)
-        tables = (choices, ordered)
+        source = partial(_reconstruct, choices, ordered)
         for q, packed in enumerate(key[1:].tolist(), start=1):
             if packed >= _INF:
                 break
             # packed is cost*width + sellers used, so the cost is its quotient
-            points.append(FairPricePoint(q, Fraction(packed // width, q), tables=tables))
+            points.append(FairPricePoint(q, Fraction(packed // width, q), source=source))
     elif method == "greedy":
-        for q in range(1, q_cap + 1):
-            alloc = greedy_allocation(sellers, q)
-            points.append(FairPricePoint(q, alloc.fair_unit_price_cents, alloc))
+        source = partial(greedy_allocation, tuple(sellers))
+        for q, cost in enumerate(_greedy_costs(sellers, q_cap), start=1):
+            points.append(FairPricePoint(q, Fraction(cost, q), source=source))
     return FairPriceCurve(points=tuple(points), q_feasible_max=feasible_max)
 
 

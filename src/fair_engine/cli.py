@@ -166,10 +166,15 @@ def cmd_fair_sim(args) -> int:
         }
     ]
 
-    for event in scenario.events:
+    for i, event in enumerate(scenario.events):
         # a join at or after the deadline is not taken: check_end ends the fair by time
         if event.action == "join" and event.at < fair.deadline:
-            prediction = fair.join(event.order, ledger=ledger, what_if=scenario.what_if)
+            try:
+                prediction = fair.join(event.order, ledger=ledger, what_if=scenario.what_if)
+            except (InfeasibleDemandError, ValueError) as exc:
+                # the exit code stays the error's own; the message names the join
+                exc.args = (f"events[{i}]: buyer {event.order.buyer_id}: {exc}",)
+                raise
             records.append(
                 {
                     "event": "join",

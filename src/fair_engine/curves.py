@@ -55,6 +55,10 @@ class PriceCurve:
     def price_at(self, q: int) -> Cents:
         raise NotImplementedError
 
+    def price_table(self, x_max: int) -> list[Cents]:
+        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0."""
+        return [0] + [self.price_at(x) for x in range(1, x_max + 1)]
+
 
 @dataclass(frozen=True)
 class LinearPlateauCurve(PriceCurve):
@@ -87,6 +91,22 @@ class LinearPlateauCurve(PriceCurve):
         if value_num <= self.sat_cents * den:
             return self.sat_cents
         return div_round_half_even(value_num, den)
+
+    def price_table(self, x_max: int) -> list[Cents]:
+        # price_at's arithmetic in one pass: the numerator falls by the rate
+        # per unit until the plateau, which fills the rest of the table
+        num = self.rate.numerator * 100
+        den = self.rate.denominator
+        floor = self.sat_cents * den
+        value_num = self.p1_cents * den
+        table = [0]
+        for x in range(1, x_max + 1):
+            if value_num <= floor:
+                table.extend([self.sat_cents] * (x_max + 1 - x))
+                break
+            table.append(div_round_half_even(value_num, den))
+            value_num -= num
+        return table
 
 
 @dataclass(frozen=True)

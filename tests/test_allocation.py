@@ -5,7 +5,9 @@ every integer split of the demand; the oracle knows nothing about the DP.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -272,12 +274,14 @@ class TestFairPriceCurve:
             ([Seller(s, flat, availability=4) for s in ("B", "A", "C")], 12),
             ([Seller(s, flat) for s in ("B", "A")], 9),
             ([Seller("U", linear_curve(9, "0.5", 6)), *two_capped_sellers()], 15),
+            ([Seller("Z1", flat, availability=0), Seller("U", linear_curve(9, "0.5", 6)),
+              Seller("Z0", flat, availability=0), *two_capped_sellers()], 11),
         ]
         markets += [(inst.sellers, inst.demand) for inst in random_small_instances(seed=61, count=30)]
         for _ in range(5):
             curves = [linear_curve(rng.randint(50, 120), rng.choice(["0", "0.5", "2"]), 40)
                       for _ in range(6)]
-            sellers = [Seller(f"S{i}", c, availability=rng.randint(0, 15))
+            sellers = [Seller(f"S{i}", c, availability=rng.choice([0, rng.randint(0, 15)]))
                        for i, c in enumerate(curves)]
             markets.append((sellers, rng.randint(1, 40)))
         expected = [scan_dp_tables(sellers, q) for sellers, q in markets]
@@ -305,6 +309,53 @@ class TestFairPriceCurve:
         assert point.allocation == optimal_allocation(sellers, 3)
         with pytest.raises(ValueError):
             FairPricePoint(1, Fraction(1))
+
+    def test_greedy_prices_are_read_without_building_allocations(self, monkeypatch):
+        calls = []
+        greedy = allocation_mod.greedy_allocation
+        monkeypatch.setattr(
+            allocation_mod, "greedy_allocation",
+            lambda sellers, q: calls.append(q) or greedy(sellers, q),
+        )
+        sellers = two_capped_sellers()
+        curve = fair_price_curve(sellers, 4, method="greedy")
+        optimal_demand(curve)
+        curve.price_at(3)
+        assert calls == []
+        point = curve.points[2]
+        assert point.allocation is point.allocation
+        assert calls == [3]
+        assert point.allocation == greedy(sellers, 3)
+
+    def test_greedy_costs_beyond_int64_stay_exact(self):
+        # sum(capacity * price(1)) is 1.5e19, over 2**63; S9's own price is too
+        sellers = [
+            Seller(f"S{i}", LinearPlateauCurve(10**17, Fraction(10**15 * (i + 1)), 10**16),
+                   availability=50)
+            for i in range(3)
+        ]
+        for extra in ([], [Seller("S9", LinearPlateauCurve(10**19, Fraction(10**18), 10**17),
+                                  availability=4)]):
+            market = sellers + extra
+            curve = fair_price_curve(market, 160, method="greedy")
+            assert len(curve.points) == total_availability(market)
+            for point in curve.points:
+                expected = greedy_allocation(market, point.q)
+                assert point.price_cents == expected.fair_unit_price_cents
+
+    def test_sellers_without_stock_take_no_memory(self):
+        unlimited = Seller("U", linear_curve(100, "0.01", 50))
+        empty = [Seller(f"Z{i:04d}", linear_curve(5, 0, 5), availability=0) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            curve = fair_price_curve([*empty, unlimited], 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (q + 1)-entry choice array per empty seller would be 16 MB alone
+        assert peak < 4_000_000
+        alone = fair_price_curve([unlimited], 2000)
+        assert [p.price_cents for p in curve.points] == [p.price_cents for p in alone.points]
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -389,14 +440,17 @@ def small_curves(draw):
 
 @st.composite
 def small_markets(draw, unlimited=False):
-    """Up to 4 sellers with stock <= 6 (or unlimited, if allowed), and a demand horizon <= 12."""
+    """Up to 4 sellers with stock <= 6 (or unlimited, if allowed), and a demand horizon <= 12.
+
+    Sellers draw their curves from a pool that may be smaller than the
+    market, so some share a curve and tie on every price.
+    """
     stock = st.integers(0, 6)
     if unlimited:
         stock = st.one_of(st.none(), stock)
     n = draw(st.integers(1, 4))
-    sellers = [
-        Seller(f"S{i}", draw(small_curves()), availability=draw(stock)) for i in range(n)
-    ]
+    pool = st.sampled_from(draw(st.lists(small_curves(), min_size=1, max_size=n)))
+    sellers = [Seller(f"S{i}", draw(pool), availability=draw(stock)) for i in range(n)]
     return sellers, draw(st.integers(1, 12))
 
 
@@ -424,3 +478,19 @@ def test_curve_points_do_not_depend_on_the_horizon(market):
         short = fair_price_curve(sellers, point.q).points[point.q - 1]
         assert (short.price_cents, short.allocation) == (point.price_cents, point.allocation)
         assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)
+
+
+@settings(deadline=None)
+@given(small_markets(unlimited=True), st.sampled_from([1, 5, allocation_mod._DP_BLOCK_CELLS]))
+def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
+    # the sweep, whether its demands come in one block or in several, prices
+    # each demand as the per-demand fill does, ties, empty and unlimited stock included
+    sellers, q_max = market
+    with mock.patch.object(allocation_mod, "_DP_BLOCK_CELLS", block_cells):
+        curve = fair_price_curve(sellers, q_max, method="greedy")
+    total = total_availability(sellers)
+    assert len(curve.points) == (q_max if total is None else min(q_max, total))
+    for point in curve.points:
+        expected = greedy_allocation(sellers, point.q)
+        assert point.price_cents == expected.fair_unit_price_cents
+        assert point.allocation == expected

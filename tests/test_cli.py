@@ -235,6 +235,34 @@ class TestFairSim:
         assert [b["buyer_id"] for b in settle["buyers"]] == ["b1"]
         assert sum(s["q"] for s in settle["sellers"]) == 2
 
+    def test_refused_join_names_the_event_and_the_buyer(self, tmp_path, capsys):
+        # seller A holds 5 units and B none: joins of 3 and then 4 units
+        scenario = base_scenario(
+            [
+                {"at": 10, "action": "join", "buyer_id": "b1", "quantity": 3, "max_wait": 500},
+                {"at": 20, "action": "join", "buyer_id": "b2", "quantity": 4, "max_wait": 500},
+            ]
+        )
+        scenario["sellers"][1]["availability"] = 0
+        path = write_scenario(tmp_path, scenario)
+        assert main(["fair-sim", path, "--out", str(tmp_path / "sim")]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: events[1]: buyer b2: demand 7 exceeds total availability 5 "
+            "(short by 2)\n"
+        )
+
+    def test_join_over_the_dp_budget_names_the_event_and_the_buyer(self, tmp_path, capsys):
+        # B has no stock limit, so a join of 10^8 units passes the stock check
+        # and is refused by the exact solver's cell budget
+        scenario = base_scenario(
+            [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 10**8, "max_wait": 500}]
+        )
+        path = write_scenario(tmp_path, scenario)
+        assert main(["fair-sim", path, "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: events[0]: buyer b1: demand 100000000 needs "
+        )
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"product_id": "x"}), encoding="utf-8")

@@ -144,6 +144,21 @@ def test_prices_always_positive():
         assert min(curve.price_at(q) for q in range(1, 301)) > 0
 
 
+def test_price_table_equals_price_at():
+    rng = random.Random(9)
+    curves = [_random_curve(rng) for _ in range(100)]
+    curves += [
+        LinearPlateauCurve(p1_cents=500, rate=Fraction(1, 10**21), sat_cents=1),
+        LinearPlateauCurve(p1_cents=10**17, rate=Fraction(7 * 10**14, 3), sat_cents=10**15),
+        LinearPlateauCurve(p1_cents=900, rate=Fraction(0), sat_cents=400),
+        LinearPlateauCurve(p1_cents=400, rate=Fraction(0), sat_cents=400),
+    ]
+    for curve in curves:
+        for x_max in (0, 1, 7, 300):
+            table = curve.price_table(x_max)
+            assert table == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+
+
 class TestLowerEnvelope:
     def test_single_seller_is_identity(self):
         curve = linear_curve(100, 5, 70)
