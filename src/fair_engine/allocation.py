@@ -17,17 +17,18 @@ which is what the fair-level price curve needs.
 A fair price curve of either method reads each seller's curve once, as an
 integer price table, and prices every demand from one sweep over those
 tables: the DP for the exact method, a blocked rank-and-fill for the greedy
-one.  Its points rebuild their allocations only when read, from the DP
-choice arrays or by calling `greedy_allocation`, which stays the reference
-for a single greedy demand.
+one.  Its points rebuild their allocations only when read: an exact curve
+walks its DP choice arrays back once for every demand and prices each split
+from the tables the sweep read; a greedy point calls `greedy_allocation`,
+which stays the reference for a single greedy demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Sequence
+from itertools import chain, takewhile
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -124,25 +125,20 @@ class Allocation:
         return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
 
 
-def _build_allocation(quantities: Sequence[tuple[Seller, int]]) -> Allocation:
-    entries = []
-    for seller, q in sorted(quantities, key=lambda pair: pair[0].id):
-        if q == 0:
-            continue
-        entries.append(
-            AllocationEntry(
-                seller_id=seller.id,
-                quantity=q,
-                unit_price_cents=seller.curve.price_at(q),
-            )
-        )
-    total_q = sum(e.quantity for e in entries)
-    total_cost = sum(e.cost_cents for e in entries)
+def _build_allocation(
+    fills: Iterable[tuple[str, int, Cents]], q: int, price: Fraction
+) -> Allocation:
+    """The one constructor of an `Allocation`.
+
+    `fills` are (seller id, quantity, unit price) in seller-id order, each
+    quantity positive, together covering q units at the fair unit price
+    `price`, so the total cost is price * q.
+    """
     return Allocation(
-        entries=tuple(entries),
-        total_quantity=total_q,
-        total_cost_cents=total_cost,
-        fair_unit_price_cents=Fraction(total_cost, total_q),
+        entries=tuple(AllocationEntry(*fill) for fill in fills),
+        total_quantity=q,
+        total_cost_cents=price.numerator * q // price.denominator,
+        fair_unit_price_cents=price,
     )
 
 
@@ -203,14 +199,15 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     usable = [s for s in sellers if s.capacity(q) > 0]
     ranked = sorted(usable, key=lambda s: (s.curve.price_at(s.capacity(q)), s.id))
     remaining = q
-    fills: list[tuple[Seller, int]] = []
+    fills: list[tuple[str, int, Cents]] = []
     for seller in ranked:
         if remaining == 0:
             break
         take = min(seller.capacity(q), remaining)
-        fills.append((seller, take))
+        fills.append((seller.id, take, seller.curve.price_at(take)))
         remaining -= take
-    return _build_allocation(fills)
+    fills.sort()
+    return _build_allocation(fills, q, Fraction(sum(x * p for _, x, p in fills), q))
 
 
 _INF = 1 << 62
@@ -218,9 +215,18 @@ _DP_BLOCK_CELLS = 1 << 18  # candidate cells per numpy step, so memory stays O(q
 _DP_CELL_BUDGET = 1 << 30  # most cells one sweep may fill; n=200 unlimited q=2000 is 8.0e8
 
 
-def _price_tables(ordered: Sequence[Seller], q_cap: int) -> list[list[Cents]]:
-    """Each seller's unit prices for x = 0..capacity, read once per curve build."""
-    return [s.curve.price_table(s.capacity(q_cap)) for s in ordered]
+def _price_tables(
+    ordered: Sequence[Seller], q_cap: int
+) -> tuple[list[Cents], np.ndarray, np.ndarray]:
+    """Each seller's unit prices for x = 0..capacity, read once per curve build.
+
+    The tables are laid end to end: seller i's price for x is
+    flat[offsets[i] + x], for x = 0..capacities[i].
+    """
+    tables = [s.curve.price_table(s.capacity(q_cap)) for s in ordered]
+    caps = np.array([len(t) - 1 for t in tables], dtype=np.int64)
+    offsets = np.cumsum(caps + 1) - (caps + 1)
+    return list(chain.from_iterable(tables)), caps, offsets
 
 
 def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
@@ -238,12 +244,11 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
     usable = sorted((s for s in sellers if s.capacity(q_cap) > 0), key=lambda s: s.id)
     if not usable:
         return []
-    tables = _price_tables(usable, q_cap)
-    caps = np.array([len(t) - 1 for t in tables], dtype=np.int64)
-    offsets = np.cumsum(caps + 1) - (caps + 1)
-    cost_bound = sum((len(t) - 1) * t[1] for t in tables)
+    prices, caps, offsets = _price_tables(usable, q_cap)
+    cost_bound = sum(c * prices[o + 1] for c, o in zip(caps.tolist(), offsets.tolist()))
     dtype = np.int64 if cost_bound < (1 << 63) else object
-    flat = np.array([p for t in tables for p in t], dtype=dtype)
+    flat = np.array(prices, dtype=dtype)
+    del prices  # the sweep reads the array; free the list first
     step = max(1, _DP_BLOCK_CELLS // len(usable))
     costs: list[Cents] = []
     for lo in range(1, q_cap + 1, step):
@@ -257,7 +262,7 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
 
 def _dp_tables(
     sellers: Sequence[Seller], q_max: int
-) -> tuple[np.ndarray, list[np.ndarray], list[Seller], int]:
+) -> tuple[np.ndarray, list[np.ndarray], list[Seller], int, np.ndarray, np.ndarray]:
     """Min-cost DP over sellers for every demand 0..q_max in one sweep.
 
     State key packs (total cost in cents, sellers used) as cost*width+count
@@ -273,6 +278,11 @@ def _dp_tables(
     A sweep fills sum(capacity) * (q_max + 1) cells; one over the budget is
     refused before any price is read or array allocated.  A seller with no
     stock gets a shared read-only choice array of zeros and no blocks.
+
+    Returns the final keys, one choice array per seller in id order, the
+    ordered sellers, the key width, and the price tables the sweep read as
+    one flat int64 array with each seller's offset into it (see
+    `_price_tables`); every price fits, as the cost-scale check bounds them.
     """
     cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
     if cells > _DP_CELL_BUDGET:
@@ -291,17 +301,18 @@ def _dp_tables(
     step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
     no_stock = np.zeros(q_max + 1, dtype=np.int32)  # every seller without stock shares it
     no_stock.flags.writeable = False
-    tables = _price_tables(ordered, q_max)
+    flat, caps, offsets = _price_tables(ordered, q_max)
+    prices = np.array(flat, dtype=np.int64)
+    del flat  # the sweep reads the int64 copy; free the Python ints first
     # one candidate buffer for every block, so only one block is held at a time
-    block = np.empty((q_max + 1, min(step, max(map(len, tables)))), dtype=np.int64)
+    block = np.empty((q_max + 1, min(step, int(caps.max()) + 1)), dtype=np.int64)
     choices: list[np.ndarray] = []
-    for table in tables:
-        x_max = len(table) - 1
+    for x_max, offset in zip(caps.tolist(), offsets.tolist()):
         if x_max == 0:  # a seller with no stock leaves every key as it was
             choices.append(no_stock)
             continue
         x = np.arange(x_max + 1, dtype=np.int64)
-        delta = x * np.array(table, dtype=np.int64) * width + 1
+        delta = x * prices[offset : offset + x_max + 1] * width + 1
         delta[0] = 0  # x = 0 uses no seller
         padded = np.full(x_max + q_max + 1, _INF, dtype=np.int64)
         padded[x_max:] = key  # padded[x_max + i] is key[i], _INF for i < 0
@@ -326,19 +337,63 @@ def _dp_tables(
                 choice[improves] = pick[improves] + lo
         key = best
         choices.append(choice)
-    return key, choices, ordered, width
+    return key, choices, ordered, width, prices, offsets
 
 
-def _reconstruct(choices: list[np.ndarray], ordered: Sequence[Seller], q: int) -> Allocation:
-    fills: list[tuple[Seller, int]] = []
-    remaining = q
-    for seller, choice in zip(reversed(ordered), reversed(choices)):
-        x = int(choice[remaining])
-        if x:
-            fills.append((seller, x))
+class _ExactSplits:
+    """Every split of one exact curve, rebuilt by one backward pass over the DP choices.
+
+    Until a split is first read it holds the choice arrays of the sellers
+    with stock.  The first read walks them once for all demands 0..n
+    together, sellers in reverse id order, each step one gather
+    x = choice[remaining] and remaining -= x.  The quantities then replace
+    the choices as a (sellers, n + 1) int32 matrix, one column per demand.
+    A point's split is its column's nonzero entries, in id order, priced
+    from the tables the DP sweep read.
+    """
+
+    __slots__ = ("_walked", "_n", "_ids", "_prices", "_offsets")
+
+    def __init__(
+        self,
+        choices: list[np.ndarray],
+        ordered: Sequence[Seller],
+        prices: np.ndarray,
+        offsets: np.ndarray,
+        n: int,
+    ):
+        stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
+        # one attribute that the first read swaps from the choices to the
+        # walked matrix, so reads on several threads each see a whole state
+        self._walked: list[np.ndarray] | np.ndarray = [choices[i] for i in stocked]
+        self._n = n
+        self._ids = [ordered[i].id for i in stocked]
+        self._prices = prices
+        self._offsets = offsets[stocked]
+
+    def _walk(self) -> np.ndarray:
+        walked = self._walked
+        if isinstance(walked, np.ndarray):
+            return walked
+        quantities = np.empty((len(walked), self._n + 1), dtype=np.int32)
+        remaining = np.arange(self._n + 1, dtype=np.intp)  # the index type: no cast per gather
+        for choice, x in zip(reversed(walked), quantities[::-1]):
+            x[:] = choice[remaining]
             remaining -= x
-    assert remaining == 0, "DP reconstruction must consume the whole demand"
-    return _build_allocation(fills)
+        assert not remaining.any(), "the DP choices must cover every demand"
+        self._walked = quantities
+        return quantities
+
+    def __call__(self, point: FairPricePoint) -> Allocation:
+        column = self._walk()[:, point.q]
+        used = column.nonzero()[0]
+        x = column[used]
+        fills = zip(
+            [self._ids[j] for j in used.tolist()],
+            x.tolist(),
+            self._prices[self._offsets[used] + x].tolist(),
+        )
+        return _build_allocation(fills, point.q, point.price_cents)
 
 
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -357,10 +412,10 @@ class FairPricePoint:
     """One demand on a fair price curve: its unit price and the allocation behind it.
 
     A point of a built curve keeps a `source` instead of an allocation and
-    calls `source(q)` the first time the allocation is read: on an exact
-    curve it rebuilds the split from the DP choice arrays, on a greedy curve
-    it is `greedy_allocation(sellers, q)`.  A fair reads the prices on every
-    join, the allocations only when they are written out.
+    calls `source(point)` the first time the allocation is read: on an exact
+    curve it reads the split from the curve's `_ExactSplits`, on a greedy
+    curve it is `greedy_allocation(sellers, q)`.  A fair reads the prices on
+    every join, the allocations only when they are written out.
     """
 
     __slots__ = ("q", "price_cents", "_allocation", "_source")
@@ -371,7 +426,7 @@ class FairPricePoint:
         price_cents: Fraction,
         allocation: Allocation | None = None,
         *,
-        source: Callable[[int], Allocation] | None = None,
+        source: Callable[[FairPricePoint], Allocation] | None = None,
     ):
         if (allocation is None) == (source is None):
             raise ValueError("a fair price point needs an allocation or a source of one")
@@ -383,7 +438,7 @@ class FairPricePoint:
     @property
     def allocation(self) -> Allocation:
         if self._allocation is None:
-            self._allocation = self._source(self.q)
+            self._allocation = self._source(self)
         return self._allocation
 
     def __eq__(self, other: object) -> bool:
@@ -435,7 +490,8 @@ def fair_price_curve(
 
     Each method prices every demand from one sweep over the sellers' price
     tables: the DP for the exact method, `_greedy_costs` for the greedy one.
-    Each point's allocation is rebuilt when it is first read.
+    Each point's allocation is rebuilt when it is first read: the first read
+    on an exact curve walks the DP choices back for every demand at once.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -447,20 +503,23 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    points: list[FairPricePoint] = []
+    costs: list[Cents] = []
+    source: Callable[[FairPricePoint], Allocation] | None = None
     if method == "exact" and q_cap >= 1:
-        key, choices, ordered, width = _dp_tables(sellers, q_cap)
-        source = partial(_reconstruct, choices, ordered)
-        for q, packed in enumerate(key[1:].tolist(), start=1):
-            if packed >= _INF:
-                break
-            # packed is cost*width + sellers used, so the cost is its quotient
-            points.append(FairPricePoint(q, Fraction(packed // width, q), source=source))
+        key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
+        # packed is cost*width + sellers used, so the cost is its quotient;
+        # the curve ends before the first demand no split reaches
+        costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
+        source = _ExactSplits(choices, ordered, prices, offsets, len(costs))
     elif method == "greedy":
-        source = partial(greedy_allocation, tuple(sellers))
-        for q, cost in enumerate(_greedy_costs(sellers, q_cap), start=1):
-            points.append(FairPricePoint(q, Fraction(cost, q), source=source))
-    return FairPriceCurve(points=tuple(points), q_feasible_max=feasible_max)
+        market = tuple(sellers)
+        costs = _greedy_costs(market, q_cap)
+        source = lambda point: greedy_allocation(market, point.q)
+    points = tuple(
+        FairPricePoint(q, Fraction(cost, q), source=source)
+        for q, cost in enumerate(costs, start=1)
+    )
+    return FairPriceCurve(points=points, q_feasible_max=feasible_max)
 
 
 @dataclass(frozen=True)

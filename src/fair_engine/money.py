@@ -9,12 +9,10 @@ regression output is bit-stable.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 Cents = int
-
-_CENT = Decimal("0.01")
 
 
 def _to_decimal(value) -> Decimal:
@@ -71,12 +69,24 @@ def cu_str(amount: Cents) -> str:
 
 def frac_str(value: Fraction | int, places: int = 4) -> str:
     """Render an exact cents value as a fixed-width CU decimal string."""
-    return ratio_str(Fraction(value) / 100, places)
+    return _fixed_str(value.numerator, value.denominator * 100, places)
 
 
 def ratio_str(value: Fraction | int, places: int = 6) -> str:
     """Render an exact dimensionless ratio as a fixed-width decimal string."""
-    frac = Fraction(value)
-    dec = Decimal(frac.numerator) / Decimal(frac.denominator)
-    exp = Decimal(1).scaleb(-places)
-    return str(dec.quantize(exp, rounding=ROUND_HALF_EVEN))
+    return _fixed_str(value.numerator, value.denominator, places)
+
+
+def _fixed_str(num: int, den: int, places: int) -> str:
+    """num/den (den > 0) at `places` decimals, rounded once, half to even.
+
+    The rounding is in integers, so the digits are exact at any magnitude;
+    a negative value keeps its sign even when it rounds to zero ("-0.0000").
+    """
+    scale = 10**places
+    digits = div_round_half_even(abs(num) * scale, den)
+    sign = "-" if num < 0 else ""
+    if places == 0:
+        return f"{sign}{digits}"
+    whole, part = divmod(digits, scale)
+    return f"{sign}{whole}.{part:0{places}d}"

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_min_cost, scan_dp_tables
+from oracles import brute_force_min_cost, scan_allocation, scan_dp_tables
 
 from fair_engine import allocation as allocation_mod
 from fair_engine.allocation import (
@@ -288,7 +288,7 @@ class TestFairPriceCurve:
         for cells in (allocation_mod._DP_BLOCK_CELLS, 1, 40):
             monkeypatch.setattr(allocation_mod, "_DP_BLOCK_CELLS", cells)
             for (sellers, q), (keys, choices) in zip(markets, expected):
-                key, got, _, _ = allocation_mod._dp_tables(sellers, q)
+                key, got, *_ = allocation_mod._dp_tables(sellers, q)
                 assert [k if k < allocation_mod._INF else None for k in key.tolist()] == keys
                 assert [c.tolist() for c in got] == choices
 
@@ -296,7 +296,7 @@ class TestFairPriceCurve:
         built = []
         build = allocation_mod._build_allocation
         monkeypatch.setattr(
-            allocation_mod, "_build_allocation", lambda fills: built.append(1) or build(fills)
+            allocation_mod, "_build_allocation", lambda *args: built.append(1) or build(*args)
         )
         sellers = two_capped_sellers()
         curve = fair_price_curve(sellers, 4)
@@ -349,11 +349,14 @@ class TestFairPriceCurve:
         tracemalloc.start()
         try:
             curve = fair_price_curve([*empty, unlimited], 2000)
+            last = curve.points[-1].allocation  # walks the choices back for every demand
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a (q + 1)-entry choice array per empty seller would be 16 MB alone
+        # a (q + 1)-entry choice array, or a row of walked quantities, per
+        # empty seller would be 16 MB alone
         assert peak < 4_000_000
+        assert last.summary() == "U:2000"
         alone = fair_price_curve([unlimited], 2000)
         assert [p.price_cents for p in curve.points] == [p.price_cents for p in alone.points]
 
@@ -494,3 +497,22 @@ def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
         expected = greedy_allocation(sellers, point.q)
         assert point.price_cents == expected.fair_unit_price_cents
         assert point.allocation == expected
+
+
+@settings(deadline=None)
+@given(small_markets(unlimited=True), st.randoms(use_true_random=False))
+def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng):
+    # whichever point is read first walks the choices back for all of them;
+    # each split is the upward scan's, in id order, priced from the curves
+    sellers, q_max = market
+    by_id = {s.id: s for s in sellers}
+    points = list(fair_price_curve(sellers, q_max).points)
+    rng.shuffle(points)
+    for point in points:
+        alloc = point.allocation
+        assert {e.seller_id: e.quantity for e in alloc.entries} == scan_allocation(sellers, point.q)
+        assert [e.seller_id for e in alloc.entries] == sorted(e.seller_id for e in alloc.entries)
+        for entry in alloc.entries:
+            assert entry.unit_price_cents == by_id[entry.seller_id].curve.price_at(entry.quantity)
+        assert alloc.total_quantity == point.q
+        assert alloc.total_cost_cents == point.price_cents * point.q

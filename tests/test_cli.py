@@ -80,6 +80,17 @@ class TestAllocate:
         assert code == 0
         assert "3,A,2,9.00" in out.read_text()
 
+    def test_greedy_prints_a_price_beyond_28_digits(self, tmp_path):
+        # 10^26 CU at four places is 31 digits; the greedy path refuses no
+        # cost scale, so the price is rendered exactly
+        path = tmp_path / "huge.csv"
+        huge = "100000000000000000000000000"
+        path.write_text(f"A,linear,{huge},0,{huge},unlimited,0,0\n", encoding="utf-8")
+        out = tmp_path / "alloc.csv"
+        code = main(["allocate", str(path), "3", "--method", "greedy", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1] == f"3,A,3,{huge}.00,{huge}.0000"
+
     def test_infeasible_demand_exits_3(self, capped_file, capsys):
         assert main(["allocate", capped_file, "9"]) == 3
         assert "short by 5" in capsys.readouterr().err
