@@ -48,14 +48,11 @@ from .fair import (
     open_fair,
 )
 from .geo import (
-    PickupSuggestion,
     Position,
-    PositionHistory,
     ShippingCostModel,
     ShippingPlan,
     distance,
     shipping_plan,
-    suggest_pickups,
 )
 from .synth import (
     ExperimentRun,

@@ -411,28 +411,21 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
 class FairPricePoint:
     """One demand on a fair price curve: its unit price and the allocation behind it.
 
-    A point of a built curve keeps a `source` instead of an allocation and
-    calls `source(point)` the first time the allocation is read: on an exact
-    curve it reads the split from the curve's `_ExactSplits`, on a greedy
-    curve it is `greedy_allocation(sellers, q)`.  A fair reads the prices on
-    every join, the allocations only when they are written out.
+    A point keeps a `source` and calls `source(point)` the first time the
+    allocation is read: on an exact curve it reads the split from the
+    curve's `_ExactSplits`, on a greedy curve it is
+    `greedy_allocation(sellers, q)`.  A fair reads the prices on every join,
+    the allocations only when they are written out.
     """
 
     __slots__ = ("q", "price_cents", "_allocation", "_source")
 
     def __init__(
-        self,
-        q: int,
-        price_cents: Fraction,
-        allocation: Allocation | None = None,
-        *,
-        source: Callable[[FairPricePoint], Allocation] | None = None,
+        self, q: int, price_cents: Fraction, *, source: Callable[[FairPricePoint], Allocation]
     ):
-        if (allocation is None) == (source is None):
-            raise ValueError("a fair price point needs an allocation or a source of one")
         self.q = q
         self.price_cents = price_cents
-        self._allocation = allocation
+        self._allocation: Allocation | None = None
         self._source = source
 
     @property

@@ -229,6 +229,8 @@ def cmd_fair_sim(args) -> int:
 def cmd_experiment(args) -> int:
     config = fileio.read_experiment_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         config = replace(config, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

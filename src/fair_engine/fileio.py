@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 from .allocation import Allocation, FairPriceCurve, Seller
 from .curves import Envelope, PriceCurve, linear_curve, tabular_curve
 from .fair import BuyerOrder, FairConfig, PaymentTiming, Settlement
-from .geo import COORDINATE_NOTE, Position, PositionHistory, ShippingPlan
+from .geo import COORDINATE_NOTE, Position, ShippingPlan
 from .money import cu_str, frac_str, ratio, ratio_str
 from .synth import RNG_ALGORITHM, ExperimentRun, PopulationSpec
 
@@ -31,7 +31,6 @@ __all__ = [
     "ParseError",
     "read_sellers_csv",
     "parse_seller_rows",
-    "parse_position_rows",
     "envelope_rows",
     "allocation_rows",
     "fair_curve_rows",
@@ -131,30 +130,6 @@ def parse_seller_rows(rows: Iterable[Sequence[str]], source: str = "<curves>") -
 def read_sellers_csv(path: str) -> list[Seller]:
     with open(path, newline="", encoding="utf-8") as fh:
         return parse_seller_rows(csv.reader(fh), source=path)
-
-
-def parse_position_rows(
-    rows: Iterable[Sequence[str]], source: str = "<positions>"
-) -> list[PositionHistory]:
-    """Parse `buyer_id,x,y,timestamp` visit rows into per-buyer histories."""
-    visits: dict[str, list[tuple[Position, float]]] = {}
-    for line_no, row in enumerate(rows, start=1):
-        cells = [c.strip() for c in row]
-        if not cells or all(c == "" for c in cells) or cells[0].startswith("#"):
-            continue
-        if len(cells) < 4:
-            raise ParseError(source, line_no, "expected `buyer_id,x,y,timestamp`")
-        try:
-            position = Position(_finite(cells[1], "x"), _finite(cells[2], "y"))
-            timestamp = _finite(cells[3], "timestamp")
-        except ValueError as exc:
-            raise ParseError(source, line_no, str(exc)) from None
-        visits.setdefault(cells[0], []).append((position, timestamp))
-    histories = []
-    for buyer_id in sorted(visits):
-        trail = sorted(visits[buyer_id], key=lambda pair: pair[1])
-        histories.append(PositionHistory(buyer_id=buyer_id, visits=tuple(trail)))
-    return histories
 
 
 # ---------------------------------------------------------------- writers
@@ -342,6 +317,9 @@ def read_experiment_config(path: str) -> ExperimentConfig:
         try:
             if key in ("n_sellers", "seed", "q_max"):
                 fields[key] = int(value)
+                least = 0 if key == "seed" else 1
+                if fields[key] < least:
+                    raise ValueError(f"must be at least {least}, got {value}")
             elif key == "method":
                 if value not in ("exact", "greedy"):
                     raise ValueError(f"must be exact or greedy, got {value!r}")
@@ -519,10 +497,15 @@ def read_scenario(path: str) -> Scenario:
                     fidelity = ratio(str(raw.get("fidelity", 0)))
                 dest = None
                 if "destination" in raw:
-                    dx, dy = raw["destination"]
-                    dest = Position(_finite(dx, "destination"), _finite(dy, "destination"))
+                    point = raw["destination"]
+                    if not (isinstance(point, list) and len(point) == 2):
+                        raise ValueError(f"destination must be [x, y], got {point!r}")
+                    dest = Position(*(_finite(c, "destination") for c in point))
+                buyer_id = raw["buyer_id"]
+                if not (isinstance(buyer_id, str) and buyer_id):
+                    raise ValueError(f"buyer_id must be a non-empty string, got {buyer_id!r}")
                 order = BuyerOrder(
-                    buyer_id=str(raw["buyer_id"]),
+                    buyer_id=buyer_id,
                     quantity=_whole(raw["quantity"], "quantity"),
                     max_wait=_finite(raw["max_wait"], "max_wait"),
                     join_time=at,

@@ -1,4 +1,4 @@
-"""Planar positions, pickup-point suggestion, and shipping-plan costing.
+"""Planar positions and shipping-plan costing.
 
 Coordinates are abstract planar kilometres, not geodetic lat/lon; every
 output that carries positions states this so downstream tools cannot
@@ -22,13 +22,10 @@ if TYPE_CHECKING:
 __all__ = [
     "COORDINATE_NOTE",
     "Position",
-    "PositionHistory",
-    "PickupSuggestion",
     "ShippingRoute",
     "ShippingPlan",
     "ShippingCostModel",
     "distance",
-    "suggest_pickups",
     "shipping_plan",
 ]
 
@@ -51,120 +48,6 @@ ORIGIN = Position(0.0, 0.0)
 def distance(a: Position, b: Position) -> float:
     """Euclidean planar distance in km."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-@dataclass(frozen=True)
-class PositionHistory:
-    """Timestamped visit trail for one buyer; timestamps non-decreasing."""
-
-    buyer_id: str
-    visits: tuple[tuple[Position, float], ...]
-
-    def __post_init__(self) -> None:
-        times = [t for _, t in self.visits]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("visit timestamps must be non-decreasing")
-
-    def positions(self) -> tuple[Position, ...]:
-        return tuple(p for p, _ in self.visits)
-
-
-@dataclass(frozen=True)
-class PickupSuggestion:
-    centroid: Position
-    buyer_ids: tuple[str, ...]
-
-
-def _attendees(
-    center: Position,
-    pool: Mapping[str, Sequence[Position]],
-    radius: float,
-    min_visits: int,
-) -> list[str]:
-    out = []
-    for buyer_id, positions in pool.items():
-        hits = sum(1 for p in positions if distance(p, center) <= radius)
-        if hits >= min_visits:
-            out.append(buyer_id)
-    return out
-
-
-def _centroid(points: Sequence[Position]) -> Position:
-    n = len(points)
-    return Position(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
-
-
-def suggest_pickups(
-    histories: Sequence[PositionHistory],
-    radius: float,
-    min_visits: int = 1,
-    min_buyers: int = 2,
-) -> list[PickupSuggestion]:
-    """Suggest shared pickup points from recurring buyer locations.
-
-    Greedy clustering over observed visit locations: a candidate point is a
-    place someone actually attended, a buyer attends it when at least
-    `min_visits` of their visits fall within `radius` of it, and a candidate
-    is emitted once at least `min_buyers` distinct buyers attend.  Each buyer
-    joins at most one suggestion (best candidate first).  The emitted point
-    is the centroid of the supporting visits when every supporter still
-    attends it, otherwise the raw candidate location.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if min_visits < 1:
-        raise ValueError("min_visits must be at least 1")
-    if min_buyers < 2:
-        raise ValueError("min_buyers must be at least 2")
-
-    pool: dict[str, tuple[Position, ...]] = {}
-    for history in histories:
-        if history.buyer_id in pool:
-            raise ValueError(f"duplicate history for buyer {history.buyer_id}")
-        pool[history.buyer_id] = history.positions()
-
-    candidates: list[Position] = []
-    seen: set[tuple[float, float]] = set()
-    for history in histories:
-        for pos in history.positions():
-            key = (pos.x, pos.y)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(pos)
-
-    suggestions: list[PickupSuggestion] = []
-    while True:
-        best: tuple[int, float, float] | None = None
-        best_center: Position | None = None
-        best_buyers: list[str] = []
-        for cand in candidates:
-            buyers = _attendees(cand, pool, radius, min_visits)
-            if len(buyers) < min_buyers:
-                continue
-            rank = (-len(buyers), cand.x, cand.y)
-            if best is None or rank < best:
-                best, best_center, best_buyers = rank, cand, buyers
-        if best_center is None:
-            break
-
-        support = [
-            p
-            for b in best_buyers
-            for p in pool[b]
-            if distance(p, best_center) <= radius
-        ]
-        centroid = _centroid(support)
-        refined = _attendees(centroid, pool, radius, min_visits)
-        if set(best_buyers) <= set(refined):
-            center, members = centroid, sorted(refined)
-        else:
-            center, members = best_center, sorted(best_buyers)
-        suggestions.append(PickupSuggestion(centroid=center, buyer_ids=tuple(members)))
-        for b in members:
-            pool.pop(b, None)
-
-    suggestions.sort(key=lambda s: (-len(s.buyer_ids), s.centroid.x, s.centroid.y))
-    return suggestions
 
 
 @dataclass(frozen=True)
@@ -208,8 +91,8 @@ def shipping_plan(
 
     `orders` is the (buyer_id, quantity) list in join order; units are drawn
     from allocation entries in ascending seller-id order, so the mapping of
-    buyers to sellers is deterministic and auditable.  A buyer with an
-    accepted pickup assignment ships there instead of to their own
+    buyers to sellers is deterministic and auditable.  A buyer with a pickup
+    place given in advance in `pickups` ships there instead of to their own
     destination.
     """
     model = cost_model or ShippingCostModel()

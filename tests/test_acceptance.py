@@ -144,7 +144,11 @@ def test_criterion_05_lowest_demand_tie_break():
                 total_cost_cents=q * price,
                 fair_unit_price_cents=Fraction(price),
             )
-            points.append(FairPricePoint(q=q, price_cents=Fraction(price), allocation=alloc))
+            points.append(
+                FairPricePoint(
+                    q=q, price_cents=Fraction(price), source=lambda point, alloc=alloc: alloc
+                )
+            )
         curve = FairPriceCurve(points=tuple(points), q_feasible_max=40)
         best = optimal_demand(curve)
         expected_q, expected_price = first_minimum(prices)

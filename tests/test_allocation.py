@@ -307,7 +307,7 @@ class TestFairPriceCurve:
         assert point.allocation is point.allocation
         assert len(built) == 1
         assert point.allocation == optimal_allocation(sellers, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FairPricePoint(1, Fraction(1))
 
     def test_greedy_prices_are_read_without_building_allocations(self, monkeypatch):
@@ -381,7 +381,9 @@ def _curve_from_prices(prices_cents):
             fair_unit_price_cents=Fraction(price),
         )
         points.append(
-            FairPricePoint(q=q, price_cents=Fraction(price), allocation=alloc)
+            FairPricePoint(
+                q=q, price_cents=Fraction(price), source=lambda point, alloc=alloc: alloc
+            )
         )
     return FairPriceCurve(points=tuple(points), q_feasible_max=len(points))
 

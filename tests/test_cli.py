@@ -411,6 +411,23 @@ class TestExperiment:
         assert err.startswith(f"error: {cfg}:5: q_max: invalid literal")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("seed = 1\nq_max = 0\n", [], "exp.cfg:2: q_max: must be at least 1"),
+            ("seed = 1\n", ["--seed", "-1"], "--seed must be at least 0"),
+        ],
+    )
+    def test_out_of_range_setting_exits_2_before_writing(
+        self, tmp_path, capsys, text, flags, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_availability_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

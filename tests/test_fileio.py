@@ -12,7 +12,6 @@ from fair_engine.fileio import (
     ParseError,
     allocation_rows,
     envelope_rows,
-    parse_position_rows,
     parse_seller_rows,
     read_experiment_config,
     read_scenario,
@@ -78,43 +77,6 @@ class TestSellerCsv:
     def test_rejects_bad_availability(self):
         with pytest.raises(ParseError):
             parse_seller_rows([["A", "linear", "10", "1", "5", "-3"]])
-
-
-class TestPositionsCsv:
-    def test_groups_visits_per_buyer_sorted_by_time(self):
-        rows = [
-            ["b2", "1.0", "2.0", "50"],
-            ["b1", "0.0", "0.0", "10"],
-            ["# note"],
-            ["b1", "3.0", "4.0", "5"],
-        ]
-        histories = parse_position_rows(rows)
-        assert [h.buyer_id for h in histories] == ["b1", "b2"]
-        assert [t for _, t in histories[0].visits] == [5.0, 10.0]
-        assert histories[0].visits[0][0].x == 3.0
-
-    def test_rejects_short_rows(self):
-        with pytest.raises(ParseError) as err:
-            parse_position_rows([["b1", "0.0", "0.0"]])
-        assert err.value.line == 1
-
-    def test_rejects_bad_numbers(self):
-        with pytest.raises(ParseError):
-            parse_position_rows([["b1", "x", "0.0", "1"]])
-
-    @pytest.mark.parametrize(
-        "row, field",
-        [
-            (["b1", "1.0", "1.0", "nan"], "timestamp"),
-            (["b1", "1.0", "1.0", "inf"], "timestamp"),
-            (["b1", "nan", "1.0", "5"], "x"),
-            (["b1", "1.0", "-inf", "5"], "y"),
-        ],
-    )
-    def test_rejects_non_finite_numbers(self, row, field):
-        # a NaN timestamp would pass PositionHistory's order check
-        with pytest.raises(ParseError, match=f"<positions>:2: {field} must be a finite number"):
-            parse_position_rows([["b1", "0.0", "0.0", "1"], row])
 
 
 class TestShippingPlanOutput:
@@ -222,6 +184,9 @@ class TestExperimentConfig:
             ("seed = 1\nmethod = magic\n", 2, "method: must be exact or greedy"),
             ("seed = 1\nq_max = 8\navailabilities = 3, x\n", 3, "availabilities: invalid"),
             ("seed = 1\nsellers = 3\nbogus = 1\n", 2, "sellers: unknown config key"),
+            ("n_sellers = 0\n", 1, "n_sellers: must be at least 1, got 0"),
+            ("seed = 1\nq_max = 0\n", 2, "q_max: must be at least 1, got 0"),
+            ("# note\nseed = -1\n", 2, "seed: must be at least 0, got -1"),
         ],
     )
     def test_errors_name_the_key_and_its_line(self, tmp_path, text, line, message):
@@ -390,6 +355,15 @@ class TestScenario:
             ({"sellers": 5}, "sellers must be a list"),
             ({"events": 7}, "events must be a list"),
             ({"events": {"at": 1}}, "events must be a list"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "destination": [1, 2, 3]}]},
+             "events[0]: destination must be [x, y], got [1, 2, 3]"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": None, "quantity": 1,
+                          "max_wait": 100}]},
+             "events[0]: buyer_id must be a non-empty string, got None"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "", "quantity": 1,
+                          "max_wait": 100}]},
+             "events[0]: buyer_id must be a non-empty string, got ''"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, change, message):

@@ -1,4 +1,4 @@
-"""Tests for positions, pickup suggestion, and shipping-plan costing."""
+"""Tests for positions and shipping-plan costing."""
 
 import math
 import random
@@ -9,11 +9,9 @@ from fair_engine.allocation import Seller, optimal_allocation
 from fair_engine.curves import linear_curve
 from fair_engine.geo import (
     Position,
-    PositionHistory,
     ShippingCostModel,
     distance,
     shipping_plan,
-    suggest_pickups,
 )
 
 
@@ -38,101 +36,6 @@ class TestDistance:
     def test_rejects_non_finite_coordinates(self):
         with pytest.raises(ValueError):
             Position(math.inf, 0.0)
-
-
-def history(buyer_id, positions):
-    return PositionHistory(
-        buyer_id=buyer_id,
-        visits=tuple((p, float(i)) for i, p in enumerate(positions)),
-    )
-
-
-def oracle_pickup_exists(histories, radius, min_visits, min_buyers=2):
-    """Brute-force scan: some visited point with enough co-attendance."""
-    candidates = [p for h in histories for p in h.positions()]
-    for cand in candidates:
-        attending = 0
-        for h in histories:
-            hits = sum(1 for p in h.positions() if distance(p, cand) <= radius)
-            if hits >= min_visits:
-                attending += 1
-        if attending >= min_buyers:
-            return True
-    return False
-
-
-class TestSuggestPickups:
-    def test_two_buyers_sharing_a_spot(self):
-        office = Position(10, 10)
-        jitter = [Position(10.1, 10.0), Position(9.9, 10.1), Position(10.0, 9.9)]
-        hists = [
-            history("b1", [office] + jitter[:2]),
-            history("b2", jitter + [Position(40, 40)]),
-        ]
-        suggestions = suggest_pickups(hists, radius=1.0, min_visits=3, min_buyers=2)
-        assert len(suggestions) == 1
-        assert suggestions[0].buyer_ids == ("b1", "b2")
-        assert distance(suggestions[0].centroid, office) < 1.0
-
-    def test_single_buyer_yields_nothing(self):
-        hists = [history("b1", [Position(0, 0)] * 5)]
-        assert suggest_pickups(hists, radius=1.0, min_visits=1) == []
-
-    def test_far_apart_buyers_yield_nothing(self):
-        hists = [
-            history("b1", [Position(0, 0)] * 3),
-            history("b2", [Position(10, 0)] * 3),
-        ]
-        assert suggest_pickups(hists, radius=1.0, min_visits=1) == []
-
-    def test_matches_brute_force_existence(self):
-        rng = random.Random(97)
-        for _ in range(60):
-            hists = []
-            for i in range(rng.randint(1, 5)):
-                center = Position(rng.uniform(0, 20), rng.uniform(0, 20))
-                visits = [
-                    Position(
-                        center.x + rng.uniform(-2, 2), center.y + rng.uniform(-2, 2)
-                    )
-                    for _ in range(rng.randint(1, 4))
-                ]
-                hists.append(history(f"b{i}", visits))
-            radius = rng.uniform(0.5, 4.0)
-            min_visits = rng.randint(1, 2)
-            got = suggest_pickups(hists, radius=radius, min_visits=min_visits)
-            expected = oracle_pickup_exists(hists, radius, min_visits)
-            assert bool(got) == expected
-
-    def test_each_buyer_in_at_most_one_suggestion(self):
-        rng = random.Random(101)
-        hists = [
-            history(
-                f"b{i}",
-                [Position(rng.uniform(0, 5), rng.uniform(0, 5)) for _ in range(4)],
-            )
-            for i in range(8)
-        ]
-        suggestions = suggest_pickups(hists, radius=3.0, min_visits=2)
-        seen = [b for s in suggestions for b in s.buyer_ids]
-        assert len(seen) == len(set(seen))
-
-    def test_ordering_by_buyer_count(self):
-        spot_a = Position(0, 0)
-        spot_b = Position(100, 100)
-        hists = [history(f"a{i}", [spot_a] * 2) for i in range(3)]
-        hists += [history(f"b{i}", [spot_b] * 2) for i in range(2)]
-        suggestions = suggest_pickups(hists, radius=1.0, min_visits=2)
-        counts = [len(s.buyer_ids) for s in suggestions]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            suggest_pickups([], radius=0.0)
-        with pytest.raises(ValueError):
-            suggest_pickups([], radius=1.0, min_visits=0)
-        with pytest.raises(ValueError):
-            suggest_pickups([], radius=1.0, min_buyers=1)
 
 
 def one_seller(position=Position(0, 0), availability=None):
