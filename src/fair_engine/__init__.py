@@ -49,7 +49,6 @@ from .fair import (
 )
 from .geo import (
     Position,
-    ShippingCostModel,
     ShippingPlan,
     distance,
     shipping_plan,

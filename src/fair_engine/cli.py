@@ -205,9 +205,9 @@ def cmd_fair_sim(args) -> int:
     with open(out_dir / "events.jsonl", "w", encoding="utf-8", newline="") as fh:
         fileio.write_event_log(records, fh)
     header, rows = fileio.settlement_buyer_rows(settlement)
-    _write_file(out_dir / "settlement_buyers.csv", header, rows, args.format)
+    _write_file(out_dir / f"settlement_buyers.{args.format}", header, rows, args.format)
     header, rows = fileio.settlement_seller_rows(settlement)
-    _write_file(out_dir / "settlement_sellers.csv", header, rows, args.format)
+    _write_file(out_dir / f"settlement_sellers.{args.format}", header, rows, args.format)
 
     # shipping plan only when every settled buyer shipped somewhere concrete
     if settlement.allocation is not None and all(
@@ -219,7 +219,8 @@ def cmd_fair_sim(args) -> int:
             [(o.buyer_id, o.quantity) for o in fair.orders],
             {o.buyer_id: o.destination for o in fair.orders},
         )
-        with open(out_dir / "shipping_plan.csv", "w", encoding="utf-8", newline="") as fh:
+        name = out_dir / f"shipping_plan.{args.format}"
+        with open(name, "w", encoding="utf-8", newline="") as fh:
             fileio.write_shipping_plan(plan, fh, fmt=args.format)
 
     print(f"fair {fair.fair_id}: {fair.status.value}, demand {fair.demand}")
@@ -252,15 +253,14 @@ def cmd_experiment(args) -> int:
         for notice in run.notices:
             print(notice, file=sys.stderr)
 
-    ext = "json" if args.format == "json" else "csv"
     comments = fileio.experiment_comments(config)
     for run in runs:
         label = fileio.availability_label(run.availability)
         header, rows = fileio.experiment_curve_rows(run)
-        name = out_dir / f"experiment_curves_{label}.{ext}"
+        name = out_dir / f"experiment_curves_{label}.{args.format}"
         _write_file(name, header, rows, args.format, comments)
     header, rows = fileio.experiment_summary_rows(runs)
-    _write_file(out_dir / f"experiment_summary.{ext}", header, rows, args.format, comments)
+    _write_file(out_dir / f"experiment_summary.{args.format}", header, rows, args.format, comments)
     return EXIT_OK
 
 

@@ -423,10 +423,8 @@ class Fair:
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
         return self.status
 
-    def settle(
-        self, ledger: SellerLedger | None = None, settled_at: float | None = None
-    ) -> Settlement:
-        """Allocate, pay sellers, and share the cost among buyers.
+    def settle(self, ledger: SellerLedger | None = None) -> Settlement:
+        """Allocate, pay sellers, and share the cost among buyers, as of the deadline.
 
         The allocation is the fair price curve's point at the final demand.
         Buyer unit prices start from (1 + margin) * cost / demand and are
@@ -441,7 +439,6 @@ class Fair:
                 f"fair {self.fair_id} must end before settlement "
                 f"(status {self.status.value})"
             )
-        when = self.deadline if settled_at is None else settled_at
         demand = self.demand
         allocation, cost = None, 0
         if demand:
@@ -478,7 +475,7 @@ class Fair:
             buyers_total_cents=buyers_total,
             sellers_total_cents=cost,
             manager_revenue_cents=buyers_total - cost,
-            settled_at=when,
+            settled_at=self.deadline,
         )
         self.status = FairStatus.SETTLED
         return self.settlement

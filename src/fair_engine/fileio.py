@@ -13,7 +13,6 @@ column order, fixed decimal formatting, no wall-clock anywhere.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from .allocation import Allocation, FairPriceCurve, Seller
-from .curves import Envelope, PriceCurve, linear_curve, tabular_curve
-from .fair import BuyerOrder, FairConfig, PaymentTiming, Settlement
+from .curves import Envelope, PriceCurve, _check_quantity, linear_curve, tabular_curve
+from .fair import BuyerHistory, BuyerOrder, FairConfig, PaymentTiming, Settlement, fidelity_score
 from .geo import COORDINATE_NOTE, Position, ShippingPlan
 from .money import cu_str, frac_str, ratio, ratio_str
 from .synth import RNG_ALGORITHM, ExperimentRun, PopulationSpec
@@ -43,7 +42,6 @@ __all__ = [
     "settlement_buyer_rows",
     "settlement_seller_rows",
     "write_rows",
-    "rows_to_text",
     "ExperimentConfig",
     "read_experiment_config",
     "Scenario",
@@ -62,16 +60,16 @@ class ParseError(Exception):
         super().__init__(f"{source}:{line}: {message}")
 
 
-def _parse_availability(text: str, source: str, line: int) -> int | None:
+def _parse_availability(text: str) -> int | None:
     text = text.strip().lower()
     if text in ("", "unlimited", "inf"):
         return None
     try:
         value = int(text)
     except ValueError:
-        raise ParseError(source, line, f"bad availability {text!r}") from None
+        raise ValueError(f"bad availability {text!r}") from None
     if value < 0:
-        raise ParseError(source, line, "availability must be >= 0")
+        raise ValueError("availability must be >= 0")
     return value
 
 
@@ -109,14 +107,10 @@ def parse_seller_rows(rows: Iterable[Sequence[str]], source: str = "<curves>") -
                 rest = cells[4:]
             else:
                 raise ValueError(f"unknown curve form {form!r}")
-            availability = (
-                _parse_availability(rest[0], source, line_no) if rest else None
-            )
+            availability = _parse_availability(rest[0]) if rest else None
             position = Position(0.0, 0.0)
             if len(rest) >= 3 and rest[1] != "" and rest[2] != "":
                 position = Position(float(rest[1]), float(rest[2]))
-        except ParseError:
-            raise
         except (ValueError, ArithmeticError) as exc:
             raise ParseError(source, line_no, str(exc)) from None
         sellers.append(
@@ -164,6 +158,7 @@ def fair_curve_rows(curve: FairPriceCurve) -> tuple[list[str], list[Row]]:
 def curve_sweep_rows(
     sellers: Sequence[Seller], q_max: int
 ) -> tuple[list[str], list[Row]]:
+    _check_quantity(q_max)
     header = ["seller_id", "q", "price"]
     rows = []
     for seller in sorted(sellers, key=lambda s: s.id):
@@ -275,12 +270,6 @@ def write_rows(
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def rows_to_text(header, rows, fmt="csv", comments=()) -> str:
-    buf = io.StringIO()
-    write_rows(header, rows, buf, fmt=fmt, comments=comments)
-    return buf.getvalue()
-
-
 # ----------------------------------------------------- experiment config
 
 @dataclass(frozen=True)
@@ -366,10 +355,6 @@ class Scenario:
     what_if: tuple[int, ...] = ()
 
 
-def _scenario_error(path: str, msg: str) -> ParseError:
-    return ParseError(path, 1, msg)
-
-
 def _whole(value, name: str) -> int:
     """A scenario integer: `2`, `2.0` and `"2"` pass; `2.9` and `true` do not."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -389,6 +374,52 @@ def _finite(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def _name(value, name: str) -> str:
+    """An id: a non-empty JSON string; `null`, numbers and `""` do not pass."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _shaped(value, kind: type, name: str):
+    """A JSON list (`kind` list) or object (`kind` dict), as it stands."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _order(raw: dict, at: float) -> BuyerOrder:
+    """The buyer order of a join event that happens at `at`."""
+    timing = PaymentTiming(str(raw.get("payment_timing", "after")))
+    if "history" in raw:
+        hist = _shaped(raw["history"], dict, "history")
+        fidelity = fidelity_score(
+            BuyerHistory(
+                purchases=_whole(hist.get("purchases", 0), "purchases"),
+                payment_timing=PaymentTiming(str(hist.get("payment_timing", "after"))),
+                social_actions=_whole(hist.get("social_actions", 0), "social_actions"),
+                join_earliness=_finite(hist.get("join_earliness", 0.0), "join_earliness"),
+            )
+        )
+    else:
+        fidelity = ratio(str(raw.get("fidelity", 0)))
+    dest = None
+    if "destination" in raw:
+        point = raw["destination"]
+        if not (isinstance(point, list) and len(point) == 2):
+            raise ValueError(f"destination must be [x, y], got {point!r}")
+        dest = Position(*(_finite(c, "destination") for c in point))
+    return BuyerOrder(
+        buyer_id=_name(raw["buyer_id"], "buyer_id"),
+        quantity=_whole(raw["quantity"], "quantity"),
+        max_wait=_finite(raw["max_wait"], "max_wait"),
+        join_time=at,
+        payment_timing=timing,
+        destination=dest,
+        fidelity=fidelity,
+    )
+
+
 def read_scenario(path: str) -> Scenario:
     """Parse a fair-simulation scenario (JSON).
 
@@ -397,140 +428,75 @@ def read_scenario(path: str) -> Scenario:
     events: list of {at, action} where action is `join` (buyer_id,
     quantity, max_wait, optional payment_timing/fidelity/history/
     destination) or `advance` (clock tick that re-checks end conditions).
+    Every error is reported at line 1 and names the part of the file
+    being read (`config: `, `sellers[i]: `, `events[i]: `, `what_if[i]: `).
     """
-    from .fair import BuyerHistory, fidelity_score
-
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
 
-    if not isinstance(data, dict):
-        raise _scenario_error(path, "scenario must be a JSON object")
+    where = ""
     try:
-        product_id = data["product_id"]
-        seller_rows = data["sellers"]
-        raw_events = data.get("events", [])
-        raw_what_if = data.get("what_if", [])
-    except KeyError as exc:
-        raise _scenario_error(path, f"missing key {exc.args[0]!r}") from None
-    for key, value in (("sellers", seller_rows), ("events", raw_events), ("what_if", raw_what_if)):
-        if not isinstance(value, list):
-            raise _scenario_error(path, f"{key} must be a list")
+        _shaped(data, dict, "scenario")
+        product_id = _name(data["product_id"], "product_id")
+        seller_rows = _shaped(data["sellers"], list, "sellers")
+        raw_events = _shaped(data.get("events", []), list, "events")
+        raw_what_if = _shaped(data.get("what_if", []), list, "what_if")
+        cfg = _shaped(data.get("config", {}), dict, "config")
+        opened_at = _finite(data.get("opened_at", 0.0), "opened_at")
 
-    sellers = []
-    for i, row in enumerate(seller_rows):
-        if isinstance(row, dict):
-            cells = [str(row.get("id", ""))]
+        sellers = []
+        for i, row in enumerate(seller_rows):
+            where = f"sellers[{i}]: "
+            _shaped(row, dict, "seller")
             form = str(row.get("form", "linear")).lower()
-            cells.append(form)
+            cells = [_name(row["id"], "id"), form]
             if form == "linear":
                 cells += [str(row.get("p1", "")), str(row.get("rate", "")), str(row.get("sat", ""))]
             else:
                 cells += [str(row.get("thresholds", "")), str(row.get("prices", ""))]
-            avail = row.get("availability", "unlimited")
-            cells.append(str(avail))
+            cells.append(str(row.get("availability", "unlimited")))
             cells += [str(row.get("x", 0.0)), str(row.get("y", 0.0))]
             sellers.extend(parse_seller_rows([cells], source=f"{path}#sellers[{i}]"))
-        else:
-            raise _scenario_error(path, f"sellers[{i}] must be an object")
 
-    cfg_raw = data.get("config", {})
-    if not isinstance(cfg_raw, dict):
-        raise _scenario_error(path, "config must be an object")
-    try:
+        where = "config: "
         config = FairConfig(
             max_duration=_finite(
-                cfg_raw.get("max_duration", FairConfig.max_duration), "max_duration"
+                cfg.get("max_duration", FairConfig.max_duration), "max_duration"
             ),
-            margin=ratio(str(cfg_raw.get("margin", "0.05"))),
-            fidelity_discount=ratio(str(cfg_raw.get("fidelity_discount", "0.04"))),
+            margin=ratio(str(cfg.get("margin", "0.05"))),
+            fidelity_discount=ratio(str(cfg.get("fidelity_discount", "0.04"))),
             curve_horizon=_whole(
-                cfg_raw.get("curve_horizon", FairConfig.curve_horizon), "curve_horizon"
+                cfg.get("curve_horizon", FairConfig.curve_horizon), "curve_horizon"
             ),
         )
-    except (TypeError, ValueError) as exc:
-        raise _scenario_error(path, f"config: {exc}") from None
-    try:
-        opened_at = _finite(data.get("opened_at", 0.0), "opened_at")
-    except ValueError as exc:
-        raise _scenario_error(path, str(exc)) from None
 
-    events: list[ScenarioEvent] = []
-    last_at = opened_at
-    for i, raw in enumerate(raw_events):
-        if not isinstance(raw, dict) or "at" not in raw or "action" not in raw:
-            raise _scenario_error(path, f"events[{i}] needs `at` and `action`")
-        try:
+        events: list[ScenarioEvent] = []
+        for i, raw in enumerate(raw_events):
+            where = f"events[{i}]: "
+            _shaped(raw, dict, "event")
             at = _finite(raw["at"], "timestamp")
-        except ValueError as exc:
-            raise _scenario_error(path, f"events[{i}]: {exc}") from None
-        if at < last_at:
-            raise _scenario_error(path, f"events[{i}]: timestamps must not decrease")
-        last_at = at
-        action = raw["action"]
-        if action == "advance":
-            events.append(ScenarioEvent(at=at, action="advance"))
-        elif action == "join":
-            try:
-                timing = PaymentTiming(str(raw.get("payment_timing", "after")))
-                if "history" in raw:
-                    hist = raw["history"]
-                    if not isinstance(hist, dict):
-                        raise ValueError("history must be an object")
-                    fidelity = fidelity_score(
-                        BuyerHistory(
-                            purchases=_whole(hist.get("purchases", 0), "purchases"),
-                            payment_timing=PaymentTiming(
-                                str(hist.get("payment_timing", "after"))
-                            ),
-                            social_actions=_whole(
-                                hist.get("social_actions", 0), "social_actions"
-                            ),
-                            join_earliness=_finite(
-                                hist.get("join_earliness", 0.0), "join_earliness"
-                            ),
-                        )
-                    )
-                else:
-                    fidelity = ratio(str(raw.get("fidelity", 0)))
-                dest = None
-                if "destination" in raw:
-                    point = raw["destination"]
-                    if not (isinstance(point, list) and len(point) == 2):
-                        raise ValueError(f"destination must be [x, y], got {point!r}")
-                    dest = Position(*(_finite(c, "destination") for c in point))
-                buyer_id = raw["buyer_id"]
-                if not (isinstance(buyer_id, str) and buyer_id):
-                    raise ValueError(f"buyer_id must be a non-empty string, got {buyer_id!r}")
-                order = BuyerOrder(
-                    buyer_id=buyer_id,
-                    quantity=_whole(raw["quantity"], "quantity"),
-                    max_wait=_finite(raw["max_wait"], "max_wait"),
-                    join_time=at,
-                    payment_timing=timing,
-                    destination=dest,
-                    fidelity=fidelity,
-                )
-            except KeyError as exc:
-                raise _scenario_error(
-                    path, f"events[{i}]: missing key {exc.args[0]!r}"
-                ) from None
-            except (TypeError, ValueError) as exc:
-                raise _scenario_error(path, f"events[{i}]: {exc}") from None
-            events.append(ScenarioEvent(at=at, action="join", order=order))
-        else:
-            raise _scenario_error(path, f"events[{i}]: unknown action {action!r}")
+            if at < (events[-1].at if events else opened_at):
+                raise ValueError("timestamps must not decrease")
+            action = raw["action"]
+            if action == "join":
+                events.append(ScenarioEvent(at=at, action="join", order=_order(raw, at)))
+            elif action == "advance":
+                events.append(ScenarioEvent(at=at, action="advance"))
+            else:
+                raise ValueError(f"unknown action {action!r}")
 
-    what_if = []
-    for i, q in enumerate(raw_what_if):
-        try:
+        what_if = []
+        for i, q in enumerate(raw_what_if):
+            where = f"what_if[{i}]: "
             what_if.append(_whole(q, "demand"))
-        except (TypeError, ValueError) as exc:
-            raise _scenario_error(path, f"what_if[{i}]: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise ParseError(path, 1, f"{where}{detail}") from None
     return Scenario(
-        product_id=str(product_id),
+        product_id=product_id,
         sellers=tuple(sellers),
         config=config,
         opened_at=opened_at,

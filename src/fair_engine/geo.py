@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .money import Cents, div_round_half_even, ratio
@@ -24,7 +23,6 @@ __all__ = [
     "Position",
     "ShippingRoute",
     "ShippingPlan",
-    "ShippingCostModel",
     "distance",
     "shipping_plan",
 ]
@@ -50,18 +48,14 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
-class ShippingCostModel:
-    """Route cost = fixed_cents + per_km * distance, rounded to cents."""
+ROUTE_FIXED_CENTS: Cents = 500  # 5 CU
+ROUTE_CENTS_PER_KM = 10  # 1/10 CU
 
-    fixed_cents: Cents = 500  # 5 CU
-    per_km: Fraction = Fraction(1, 10)  # CU per km
 
-    def route_cost(self, km: float) -> Cents:
-        variable = ratio(self.per_km) * 100 * ratio(km)
-        return self.fixed_cents + div_round_half_even(
-            variable.numerator, variable.denominator
-        )
+def route_cost(km: float) -> Cents:
+    """Fixed cost plus cost per km, the variable part rounded half-even to cents."""
+    variable = ROUTE_CENTS_PER_KM * ratio(km)
+    return ROUTE_FIXED_CENTS + div_round_half_even(variable.numerator, variable.denominator)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,6 @@ def shipping_plan(
     orders: Sequence[tuple[str, int]],
     destinations: Mapping[str, Position],
     pickups: Mapping[str, Position] | None = None,
-    cost_model: ShippingCostModel | None = None,
 ) -> ShippingPlan:
     """Group settled parcels into (seller, destination) routes and cost them.
 
@@ -95,7 +88,6 @@ def shipping_plan(
     place given in advance in `pickups` ships there instead of to their own
     destination.
     """
-    model = cost_model or ShippingCostModel()
     pickups = pickups or {}
     sellers_by_id = {s.id: s for s in sellers}
 
@@ -145,7 +137,7 @@ def shipping_plan(
                 destination=dest,
                 parcels=count,
                 distance_km=km,
-                cost_cents=model.route_cost(km),
+                cost_cents=route_cost(km),
             )
         )
     total = sum(r.cost_cents for r in routes)

@@ -152,6 +152,13 @@ class TestCurve:
         payload = json.loads(out.read_text())
         assert payload["rows"][0] == {"seller_id": "A", "q": 1, "price": "100.00"}
 
+    @pytest.mark.parametrize("argv", [["envelope"], ["curve"], ["curve", "--fair"]])
+    def test_zero_q_max_exits_2(self, ab_file, capsys, argv):
+        assert main([argv[0], ab_file, *argv[1:], "--q-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "quantity must be a positive integer, got 0" in captured.err
+
 
 def write_scenario(tmp_path, scenario):
     path = tmp_path / "scenario.json"

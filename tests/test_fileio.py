@@ -1,5 +1,6 @@
 """Tests for file formats: curve CSV, config, scenarios, writers."""
 
+import io
 import json
 import re
 
@@ -16,7 +17,7 @@ from fair_engine.fileio import (
     read_experiment_config,
     read_scenario,
     read_sellers_csv,
-    rows_to_text,
+    write_rows,
     write_shipping_plan,
 )
 
@@ -125,14 +126,16 @@ class TestWriters:
     def test_csv_and_json_formats(self):
         header = ["a", "b"]
         rows = [[1, "x"], [2, "y"]]
-        csv_text = rows_to_text(header, rows, fmt="csv", comments=["note"])
-        assert csv_text == "# note\na,b\n1,x\n2,y\n"
-        payload = json.loads(rows_to_text(header, rows, fmt="json"))
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_rows(header, rows, csv_buf, fmt="csv", comments=["note"])
+        assert csv_buf.getvalue() == "# note\na,b\n1,x\n2,y\n"
+        write_rows(header, rows, json_buf, fmt="json")
+        payload = json.loads(json_buf.getvalue())
         assert payload["rows"] == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            rows_to_text(["a"], [[1]], fmt="xml")
+            write_rows(["a"], [[1]], io.StringIO(), fmt="xml")
 
 
 class TestExperimentConfig:
@@ -364,6 +367,11 @@ class TestScenario:
             ({"events": [{"at": 10, "action": "join", "buyer_id": "", "quantity": 1,
                           "max_wait": 100}]},
              "events[0]: buyer_id must be a non-empty string, got ''"),
+            ({"product_id": None}, "product_id must be a non-empty string, got None"),
+            ({"sellers": [{"id": None, "p1": 10, "rate": 1, "sat": 5}]},
+             "sellers[0]: id must be a non-empty string, got None"),
+            ({"sellers": [{"id": 5, "p1": 10, "rate": 1, "sat": 5}]},
+             "sellers[0]: id must be a non-empty string, got 5"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, change, message):

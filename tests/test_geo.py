@@ -9,7 +9,6 @@ from fair_engine.allocation import Seller, optimal_allocation
 from fair_engine.curves import linear_curve
 from fair_engine.geo import (
     Position,
-    ShippingCostModel,
     distance,
     shipping_plan,
 )
@@ -124,18 +123,3 @@ class TestShippingPlan:
                 pickups={orders[i][0]: pickup, orders[j][0]: pickup},
             )
             assert merged.total_cost_cents <= before.total_cost_cents
-
-    def test_custom_cost_model(self):
-        seller = one_seller()
-        alloc = optimal_allocation([seller], 1)
-        model = ShippingCostModel(fixed_cents=1000, per_km=ratio_half())
-        plan = shipping_plan(
-            alloc, [seller], [("b1", 1)], {"b1": Position(4, 0)}, cost_model=model
-        )
-        assert plan.total_cost_cents == 1000 + 200  # 4 km at 0.5 CU/km
-
-
-def ratio_half():
-    from fractions import Fraction
-
-    return Fraction(1, 2)

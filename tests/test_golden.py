@@ -29,6 +29,8 @@ CASES = {
                           "--method", "greedy", "--out", "{out}/fair_curve.csv"],
     "fair_sim_optimal": ["fair-sim", "{data}/scenario_optimal.json", "--out", "{out}"],
     "fair_sim_time": ["fair-sim", "{data}/scenario_time.json", "--out", "{out}"],
+    "fair_sim_json": ["fair-sim", "{data}/scenario_optimal.json", "--out", "{out}",
+                      "--format", "json"],
     "experiment_csv": ["experiment", "{data}/experiment.cfg", "--out", "{out}"],
     "experiment_json": ["experiment", "{data}/experiment.cfg", "--out", "{out}",
                         "--format", "json"],
