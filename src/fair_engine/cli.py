@@ -152,7 +152,6 @@ def cmd_fair_sim(args) -> int:
         scenario.sellers,
         scenario.config,
         opened_at=scenario.opened_at,
-        fair_id=f"fair-{scenario.product_id}",
         ledger=ledger,
     )
     records = [

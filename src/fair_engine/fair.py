@@ -9,14 +9,14 @@ fidelity discount that is renormalized so the grand total is preserved
 exactly.  Time is injected logical time (plain numbers), never the wall
 clock, so every run is reproducible.
 
-Cross-fair stock safety lives in the SellerLedger: committing a settlement
-is an atomic check-and-commit, so concurrent fairs can never oversell a
-seller.
+Cross-fair stock safety lives in the SellerLedger, which every fair reads
+its sellers' remaining stock from and commits its settlement through:
+committing is an atomic check-and-commit, so concurrent fairs can never
+oversell a seller.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -55,9 +55,6 @@ __all__ = [
     "fidelity_score",
     "join_earliness",
 ]
-
-_fair_counter = itertools.count(1)
-
 
 class LifecycleError(Exception):
     """An operation was applied to a fair in the wrong state."""
@@ -233,43 +230,36 @@ class Settlement:
 class SellerLedger:
     """Cross-fair stock accounting: committed never exceeds availability.
 
-    `commit` is an atomic check-and-commit under one lock; a failed commit
-    leaves the ledger untouched.
+    The ledger holds a fixed seller set, learnt at construction; every read
+    or commit naming another seller is refused.  `commit` is an atomic
+    check-and-commit under one lock; a failed commit leaves the ledger
+    untouched.
     """
 
-    def __init__(self, sellers: Iterable[Seller] = ()):
+    def __init__(self, sellers: Iterable[Seller]):
         self._lock = threading.Lock()
         self._capacity: dict[str, int | None] = {}
         self._committed: dict[str, int] = {}
         for seller in sellers:
-            self.register(seller)
-
-    def register(self, seller: Seller) -> None:
-        with self._lock:
-            if seller.id in self._capacity:
-                if self._capacity[seller.id] != seller.availability:
-                    raise ValueError(
-                        f"seller {seller.id} already registered with different stock"
-                    )
-                return
-            self._capacity[seller.id] = seller.availability
+            if self._capacity.setdefault(seller.id, seller.availability) != seller.availability:
+                raise ValueError(f"seller {seller.id} already registered with different stock")
             self._committed[seller.id] = 0
 
     def committed(self, seller_id: str) -> int:
         return self._committed.get(seller_id, 0)
 
     def available(self, seller_id: str) -> int | None:
-        cap = self._capacity.get(seller_id)
-        if cap is None:
-            return None
-        return cap - self._committed.get(seller_id, 0)
+        """The seller's stock not yet committed; None when it has no limit."""
+        try:
+            cap = self._capacity[seller_id]
+        except KeyError:
+            raise ValueError(f"seller {seller_id} not in ledger") from None
+        return None if cap is None else cap - self._committed[seller_id]
 
     def effective_sellers(self, sellers: Sequence[Seller]) -> list[Seller]:
         """The seller set with availabilities reduced by prior commitments."""
         out = []
         for seller in sellers:
-            if seller.id not in self._capacity:
-                self.register(seller)
             remaining = self.available(seller.id)
             if remaining != seller.availability:
                 seller = replace(seller, availability=remaining)
@@ -279,15 +269,9 @@ class SellerLedger:
     def commit(self, allocation: Allocation) -> None:
         with self._lock:
             for entry in allocation.entries:
-                cap = self._capacity.get(entry.seller_id)
-                if cap is None and entry.seller_id not in self._capacity:
-                    raise ValueError(f"seller {entry.seller_id} not in ledger")
-                if cap is not None:
-                    remaining = cap - self._committed[entry.seller_id]
-                    if entry.quantity > remaining:
-                        raise LedgerCapacityError(
-                            entry.seller_id, entry.quantity, remaining
-                        )
+                remaining = self.available(entry.seller_id)
+                if remaining is not None and entry.quantity > remaining:
+                    raise LedgerCapacityError(entry.seller_id, entry.quantity, remaining)
             for entry in allocation.entries:
                 self._committed[entry.seller_id] += entry.quantity
 
@@ -302,11 +286,6 @@ def _prediction(
         demand=demand, current_price_cents=prices[0], optimal=optimal,
         what_if=tuple(zip(what_if, prices[1:])),
     )
-
-
-def _effective_sellers(sellers: Sequence[Seller], ledger: SellerLedger | None) -> list[Seller]:
-    """The sellers with their stock reduced by the ledger's commitments, if any."""
-    return list(sellers) if ledger is None else ledger.effective_sellers(sellers)
 
 
 @dataclass
@@ -355,25 +334,18 @@ class Fair:
             self._cached_outlook = (key, curve, optimal)
         return self._cached_outlook[1:]
 
-    def predict(
-        self,
-        what_if: Sequence[int] = (),
-        ledger: SellerLedger | None = None,
-    ) -> PricePrediction:
+    def predict(self, what_if: Sequence[int] = (), *, ledger: SellerLedger) -> PricePrediction:
         """Current fair price, the optimal point, and what-if demand prices."""
         if self.status is not FairStatus.RUNNING:
             raise LifecycleError(f"fair {self.fair_id} is not running")
         demand = self.demand
-        curve, optimal = self._outlook(_effective_sellers(self.sellers, ledger), demand)
+        curve, optimal = self._outlook(ledger.effective_sellers(self.sellers), demand)
         if optimal is None:
             raise InfeasibleDemandError(max(demand, 1), 0)
         return _prediction(curve, optimal, demand, what_if)
 
     def join(
-        self,
-        order: BuyerOrder,
-        ledger: SellerLedger | None = None,
-        what_if: Sequence[int] = (),
+        self, order: BuyerOrder, ledger: SellerLedger, what_if: Sequence[int] = ()
     ) -> PricePrediction:
         """Add a buyer order; the deadline can only move earlier.
 
@@ -391,7 +363,7 @@ class Fair:
             raise ValueError(f"buyer {order.buyer_id} already joined {self.fair_id}")
 
         demand = self.demand + order.quantity
-        sellers = _effective_sellers(self.sellers, ledger)
+        sellers = ledger.effective_sellers(self.sellers)
         supply = total_availability(sellers)
         if supply is not None and demand > supply:
             raise InfeasibleDemandError(demand, supply)
@@ -401,9 +373,7 @@ class Fair:
         self.deadline = min(self.deadline, order.join_time + order.max_wait)
         return _prediction(curve, optimal, demand, what_if)
 
-    def check_end(
-        self, now: float, ledger: SellerLedger | None = None
-    ) -> FairStatus:
+    def check_end(self, now: float, ledger: SellerLedger) -> FairStatus:
         """Advance the status when an end condition holds; never backward.
 
         Ends by time when `now` reaches the deadline (inclusive); ends by
@@ -416,14 +386,14 @@ class Fair:
         if now >= self.deadline:
             self.status = FairStatus.ENDED_BY_TIME
         elif demand >= 1:
-            curve, optimal = self._outlook(_effective_sellers(self.sellers, ledger), demand)
+            curve, optimal = self._outlook(ledger.effective_sellers(self.sellers), demand)
             if demand <= len(curve.points) and demand >= optimal.q_star and (
                 curve.price_at(demand) == optimal.z_star_cents
             ):
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
         return self.status
 
-    def settle(self, ledger: SellerLedger | None = None) -> Settlement:
+    def settle(self, ledger: SellerLedger) -> Settlement:
         """Allocate, pay sellers, and share the cost among buyers, as of the deadline.
 
         The allocation is the fair price curve's point at the final demand.
@@ -442,12 +412,11 @@ class Fair:
         demand = self.demand
         allocation, cost = None, 0
         if demand:
-            curve, _ = self._outlook(_effective_sellers(self.sellers, ledger), demand)
+            curve, _ = self._outlook(ledger.effective_sellers(self.sellers), demand)
             if demand > len(curve.points):
                 raise InfeasibleDemandError(demand, curve.q_feasible_max)
             allocation = curve.points[demand - 1].allocation
-            if ledger is not None:
-                ledger.commit(allocation)
+            ledger.commit(allocation)
             cost = allocation.total_cost_cents
         margin = self.config.margin
         discount = self.config.fidelity_discount
@@ -487,21 +456,23 @@ def open_fair(
     config: FairConfig | None = None,
     opened_at: float = 0.0,
     fair_id: str | None = None,
-    ledger: SellerLedger | None = None,
+    *,
+    ledger: SellerLedger,
 ) -> Fair:
-    """Open a running fair with an empty order book.
+    """Open a running fair with an empty order book, named `fair-<product_id>` by default.
 
     Rejected when no seller can supply the product (empty seller set, or
-    every unit of stock already committed elsewhere).
+    every unit of stock already committed elsewhere), and when `ledger`
+    does not hold every seller.
     """
     cfg = config or FairConfig()
     if not sellers:
         raise ValueError(f"no sellers can supply product {product_id}")
-    supply = total_availability(_effective_sellers(sellers, ledger))
+    supply = total_availability(ledger.effective_sellers(sellers))
     if supply is not None and supply < 1:
         raise ValueError(f"no remaining stock for product {product_id}")
     return Fair(
-        fair_id=fair_id or f"fair-{next(_fair_counter):04d}",
+        fair_id=fair_id or f"fair-{product_id}",
         product_id=product_id,
         sellers=tuple(sellers),
         config=cfg,

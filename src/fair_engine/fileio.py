@@ -73,6 +73,40 @@ def _parse_availability(text: str) -> int | None:
     return value
 
 
+def _seller_row(cells: Sequence[str], seen: set[str]) -> Seller:
+    """One curve row's stripped cells as a Seller whose id is not in `seen` (it is added).
+
+    Every malformed row raises ValueError.
+    """
+    if len(cells) < 2:
+        raise ValueError("expected at least `id,form`")
+    seller_id, form = cells[0], cells[1].lower()
+    if seller_id in seen:
+        raise ValueError(f"duplicate seller id {seller_id!r}")
+    seen.add(seller_id)
+    if form == "linear":
+        if len(cells) < 5:
+            raise ValueError("linear rows need p1, rate, sat")
+        curve: PriceCurve = linear_curve(cells[2], cells[3], cells[4])
+        rest = cells[5:]
+    elif form == "tabular":
+        if len(cells) < 4:
+            raise ValueError("tabular rows need thresholds and prices")
+        thresholds = [int(t) for t in cells[2].split("|") if t != ""]
+        prices = [p for p in cells[3].split("|") if p != ""]
+        if len(thresholds) != len(prices):
+            raise ValueError("thresholds and prices differ in length")
+        curve = tabular_curve(zip(thresholds, prices))
+        rest = cells[4:]
+    else:
+        raise ValueError(f"unknown curve form {form!r}")
+    availability = _parse_availability(rest[0]) if rest else None
+    position = Position(0.0, 0.0)
+    if len(rest) >= 3 and rest[1] != "" and rest[2] != "":
+        position = Position(float(rest[1]), float(rest[2]))
+    return Seller(id=seller_id, curve=curve, availability=availability, position=position)
+
+
 def parse_seller_rows(rows: Iterable[Sequence[str]], source: str = "<curves>") -> list[Seller]:
     sellers: list[Seller] = []
     seen: set[str] = set()
@@ -84,38 +118,10 @@ def parse_seller_rows(rows: Iterable[Sequence[str]], source: str = "<curves>") -
             continue
         if cells[0].startswith("#"):
             continue
-        if len(cells) < 2:
-            raise ParseError(source, line_no, "expected at least `id,form`")
-        seller_id, form = cells[0], cells[1].lower()
-        if seller_id in seen:
-            raise ParseError(source, line_no, f"duplicate seller id {seller_id!r}")
-        seen.add(seller_id)
         try:
-            if form == "linear":
-                if len(cells) < 5:
-                    raise ValueError("linear rows need p1, rate, sat")
-                curve: PriceCurve = linear_curve(cells[2], cells[3], cells[4])
-                rest = cells[5:]
-            elif form == "tabular":
-                if len(cells) < 4:
-                    raise ValueError("tabular rows need thresholds and prices")
-                thresholds = [int(t) for t in cells[2].split("|") if t != ""]
-                prices = [p for p in cells[3].split("|") if p != ""]
-                if len(thresholds) != len(prices):
-                    raise ValueError("thresholds and prices differ in length")
-                curve = tabular_curve(zip(thresholds, prices))
-                rest = cells[4:]
-            else:
-                raise ValueError(f"unknown curve form {form!r}")
-            availability = _parse_availability(rest[0]) if rest else None
-            position = Position(0.0, 0.0)
-            if len(rest) >= 3 and rest[1] != "" and rest[2] != "":
-                position = Position(float(rest[1]), float(rest[2]))
-        except (ValueError, ArithmeticError) as exc:
+            sellers.append(_seller_row(cells, seen))
+        except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
-        sellers.append(
-            Seller(id=seller_id, curve=curve, availability=availability, position=position)
-        )
     if not sellers:
         raise ParseError(source, max(n_lines, 1), "no seller rows found")
     return sellers
@@ -447,7 +453,8 @@ def read_scenario(path: str) -> Scenario:
         cfg = _shaped(data.get("config", {}), dict, "config")
         opened_at = _finite(data.get("opened_at", 0.0), "opened_at")
 
-        sellers = []
+        sellers: list[Seller] = []
+        seen: set[str] = set()
         for i, row in enumerate(seller_rows):
             where = f"sellers[{i}]: "
             _shaped(row, dict, "seller")
@@ -459,7 +466,7 @@ def read_scenario(path: str) -> Scenario:
                 cells += [str(row.get("thresholds", "")), str(row.get("prices", ""))]
             cells.append(str(row.get("availability", "unlimited")))
             cells += [str(row.get("x", 0.0)), str(row.get("y", 0.0))]
-            sellers.extend(parse_seller_rows([cells], source=f"{path}#sellers[{i}]"))
+            sellers.append(_seller_row([c.strip() for c in cells], seen))
 
         where = "config: "
         config = FairConfig(
@@ -491,7 +498,10 @@ def read_scenario(path: str) -> Scenario:
         what_if = []
         for i, q in enumerate(raw_what_if):
             where = f"what_if[{i}]: "
-            what_if.append(_whole(q, "demand"))
+            q = _whole(q, "demand")
+            if q < 1:
+                raise ValueError(f"demand must be at least 1, got {q}")
+            what_if.append(q)
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
         raise ParseError(path, 1, f"{where}{detail}") from None

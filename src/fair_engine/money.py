@@ -15,22 +15,36 @@ from fractions import Fraction
 Cents = int
 
 
+# Python's default int/str digit limit.  An exact Fraction of 10^e holds an
+# integer of e + 1 digits, so a larger exponent is refused, not built.
+_MAX_EXPONENT = 4300
+
+
 def _to_decimal(value) -> Decimal:
+    """A finite amount as a Decimal whose exponent is within _MAX_EXPONENT."""
     if isinstance(value, Decimal):
-        return value
-    if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, float):
+        dec = value
+    elif isinstance(value, int):
+        dec = Decimal(value)
+    elif isinstance(value, float):
         # repr round-trips floats, so "4.69" parses as the intended 4.69 CU
-        return Decimal(repr(value))
-    if isinstance(value, str):
+        dec = Decimal(repr(value))
+    elif isinstance(value, str):
         try:
-            return Decimal(value)
+            dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"not a currency amount: {value!r}") from exc
-    if isinstance(value, Fraction):
-        return Decimal(value.numerator) / Decimal(value.denominator)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a currency amount")
+    elif isinstance(value, Fraction):
+        dec = Decimal(value.numerator) / Decimal(value.denominator)
+    else:
+        raise TypeError(f"cannot interpret {type(value).__name__} as a currency amount")
+    if not dec.is_finite():
+        raise ValueError(f"amount must be finite, got {value!r}")
+    if abs(dec.adjusted()) > _MAX_EXPONENT:
+        raise ValueError(
+            f"amount {value!r} has a decimal exponent beyond ±{_MAX_EXPONENT}"
+        )
+    return dec
 
 
 def cents(value) -> Cents:

@@ -23,7 +23,7 @@ from fair_engine.allocation import (
 )
 from fair_engine.cli import main
 from fair_engine.curves import lower_envelope, tabular_curve
-from fair_engine.fair import BuyerOrder, FairConfig, FairStatus, open_fair
+from fair_engine.fair import BuyerOrder, FairConfig, FairStatus, SellerLedger, open_fair
 from fair_engine.geo import Position, shipping_plan
 from fair_engine.synth import (
     PopulationSpec,
@@ -174,7 +174,8 @@ def test_criterion_06_settlement_revenue_safety():
             for j in range(rng.randint(1, 4))
         ]
         config = FairConfig(max_duration=1000.0, margin=margin, fidelity_discount=discount)
-        fair = open_fair("bulk", sellers, config)
+        ledger = SellerLedger(sellers)
+        fair = open_fair("bulk", sellers, config, ledger=ledger)
         for i in range(rng.randint(1, 6)):
             fair.join(
                 BuyerOrder(
@@ -183,11 +184,12 @@ def test_criterion_06_settlement_revenue_safety():
                     max_wait=5000.0,
                     join_time=float(i + 1),
                     fidelity=Fraction(rng.randint(0, 100), 100),
-                )
+                ),
+                ledger,
             )
-        fair.check_end(1000.0)
+        fair.check_end(1000.0, ledger)
         assert fair.status is FairStatus.ENDED_BY_TIME
-        settlement = fair.settle()
+        settlement = fair.settle(ledger)
         assert settlement.buyers_total_cents >= settlement.sellers_total_cents
         assert (
             settlement.buyers_total_cents - settlement.sellers_total_cents

@@ -319,6 +319,14 @@ class TestFairSim:
                "max_wait": 100, "destination": [True, False]}], {}, "events[0]: destination"),
             ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1, "max_wait": 100,
                "history": {"join_earliness": True}}], {}, "events[0]: join_earliness"),
+            ([], {"margin": "Infinity"}, "config: amount must be finite"),
+            ([], {"margin": float("inf")}, "config: amount must be finite"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1, "max_wait": 100,
+               "fidelity": "Infinity"}], {}, "events[0]: amount must be finite"),
+            # refused before an integer of 10^999999999 is built
+            ([], {"fidelity_discount": "1e999999999"}, "config: amount '1e999999999'"),
+            ([{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1, "max_wait": 100,
+               "fidelity": "1e999999999"}], {}, "events[0]: amount '1e999999999'"),
         ],
     )
     def test_non_finite_input_exits_2(self, tmp_path, capsys, events, config, where):
@@ -343,6 +351,12 @@ class TestFairSim:
             ([], {"sellers": 5}, "sellers must be a list"),
             ([], {"events": 7}, "events must be a list"),
             ([], {"events": {"at": 1}}, "events must be a list"),
+            ([], {"what_if": [0, -3, 2]}, "what_if[0]: demand must be at least 1, got 0"),
+            ([], {"sellers": [{"id": "A", "p1": 10, "rate": 1, "sat": 5},
+                              {"id": "A", "p1": 10, "rate": 1, "sat": 5, "availability": 3}]},
+             "sellers[1]: duplicate seller id 'A'"),
+            ([], {"sellers": [{"id": "A", "form": "cubic"}]},
+             "sellers[0]: unknown curve form 'cubic'"),
         ],
     )
     def test_malformed_integer_field_exits_2(self, tmp_path, capsys, events, extra, where):

@@ -1,5 +1,6 @@
 """Tests for the fair lifecycle: joins, prediction, ending, settlement, ledger."""
 
+import functools
 import itertools
 import os
 import random
@@ -43,6 +44,20 @@ def flat_seller(price_cu, availability=None, seller_id="S1"):
     return Seller(seller_id, linear_curve(price_cu, 0, price_cu), availability=availability)
 
 
+class SoloFair:
+    """A fair on a ledger of its own sellers, which every call that reads stock is given."""
+
+    def __init__(self, sellers, config=None, **kwargs):
+        self.ledger = SellerLedger(sellers)
+        self.fair = open_fair("paper", sellers, config, ledger=self.ledger, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self.fair, name)
+        if name in ("predict", "join", "check_end", "settle"):
+            return functools.partial(attr, ledger=self.ledger)
+        return attr
+
+
 def order(buyer_id, q, join_time=1.0, max_wait=30 * DAY, fidelity=0, timing=PaymentTiming.AFTER):
     return BuyerOrder(
         buyer_id=buyer_id,
@@ -56,60 +71,104 @@ def order(buyer_id, q, join_time=1.0, max_wait=30 * DAY, fidelity=0, timing=Paym
 
 class TestOpenFair:
     def test_opens_running_with_empty_book(self):
-        fair = open_fair("paper", [flat_seller(10, 5)], FairConfig(max_duration=7 * DAY))
+        fair = SoloFair([flat_seller(10, 5)], FairConfig(max_duration=7 * DAY))
         assert fair.status is FairStatus.RUNNING
         assert fair.demand == 0
 
     def test_deadline_is_opening_plus_max_duration(self):
-        fair = open_fair(
-            "paper", [flat_seller(10)], FairConfig(max_duration=7 * DAY), opened_at=100.0
+        fair = SoloFair(
+            [flat_seller(10)], FairConfig(max_duration=7 * DAY), opened_at=100.0
         )
         assert fair.deadline == 100.0 + 7 * DAY
 
     def test_rejects_empty_seller_set(self):
         with pytest.raises(ValueError):
-            open_fair("paper", [])
+            SoloFair([])
 
     def test_rejects_fully_committed_stock(self):
         seller = flat_seller(10, availability=3)
         ledger = SellerLedger([seller])
         fair = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 3), ledger=ledger)
-        fair.check_end(fair.deadline)
+        fair.check_end(fair.deadline, ledger=ledger)
         fair.settle(ledger=ledger)
         with pytest.raises(ValueError):
             open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
 
 
+class TestLedgerIsRequired:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fair: open_fair("paper", [flat_seller(10)]),
+            lambda fair: fair.predict(),
+            lambda fair: fair.join(order("b1", 1)),
+            lambda fair: fair.check_end(0.0),
+            lambda fair: fair.settle(),
+        ],
+        ids=["open_fair", "predict", "join", "check_end", "settle"],
+    )
+    def test_a_fair_call_without_a_ledger_is_a_type_error(self, call):
+        seller = flat_seller(10)
+        fair = open_fair("paper", [seller], ledger=SellerLedger([seller]))
+        with pytest.raises(TypeError, match="ledger"):
+            call(fair)
+
+    def test_a_ledger_is_built_with_its_sellers(self):
+        with pytest.raises(TypeError):
+            SellerLedger()
+        with pytest.raises(ValueError, match="seller S1 already registered with different stock"):
+            SellerLedger([flat_seller(10, 5), flat_seller(10, 6)])
+        assert SellerLedger([flat_seller(10, 5), flat_seller(10, 5)]).available("S1") == 5
+
+    def test_reads_of_an_unknown_seller_are_refused(self):
+        known, stranger = flat_seller(10, 5), flat_seller(10, 5, seller_id="X")
+        ledger = SellerLedger([known])
+        with pytest.raises(ValueError, match="seller X not in ledger"):
+            ledger.available("X")
+        with pytest.raises(ValueError, match="seller X not in ledger"):
+            ledger.effective_sellers([known, stranger])
+        with pytest.raises(ValueError, match="seller X not in ledger"):
+            open_fair("paper", [known, stranger], ledger=ledger)
+        assert ledger.available("S1") == 5  # nothing was registered on the way
+
+    def test_an_unnamed_fair_is_named_after_its_product(self):
+        seller = flat_seller(10)
+        ledger = SellerLedger([seller])
+        ids = [open_fair("paper", [seller], ledger=ledger).fair_id for _ in range(2)]
+        assert ids == ["fair-paper", "fair-paper"]
+        assert open_fair("paper", [seller], fair_id="f1", ledger=ledger).fair_id == "f1"
+
+
 class TestJoin:
     def test_first_join_sets_demand(self):
-        fair = open_fair("paper", [flat_seller(10)])
+        fair = SoloFair([flat_seller(10)])
         fair.join(order("b1", 2))
         assert fair.demand == 2
 
     def test_short_wait_pulls_deadline_earlier(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=7 * DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=7 * DAY))
         fair.join(order("b1", 1, join_time=DAY, max_wait=2 * DAY))
         assert fair.deadline == 3 * DAY  # join_time + max_wait
 
     def test_long_wait_leaves_deadline_alone(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=2 * DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=2 * DAY))
         fair.join(order("b1", 1, join_time=DAY, max_wait=30 * DAY))
         assert fair.deadline == 2 * DAY
 
     def test_join_after_deadline_is_rejected(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
         with pytest.raises(LifecycleError):
             fair.join(order("b1", 1, join_time=2 * DAY))
 
     def test_join_on_ended_fair_is_rejected(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
         fair.check_end(DAY)
         with pytest.raises(LifecycleError):
             fair.join(order("b1", 1, join_time=0.5 * DAY))
 
     def test_join_beyond_supply_names_shortfall(self):
-        fair = open_fair("paper", [flat_seller(10, availability=3)])
+        fair = SoloFair([flat_seller(10, availability=3)])
         fair.join(order("b1", 2))
         with pytest.raises(InfeasibleDemandError) as err:
             fair.join(order("b2", 2, join_time=2.0))
@@ -118,7 +177,7 @@ class TestJoin:
 
     def test_join_beyond_a_large_stock_is_refused_before_any_curve(self, monkeypatch):
         # a curve out to 40,001 units of one 40,000-unit seller is 1.6e9 DP cells
-        fair = open_fair("paper", [flat_seller(10, availability=40_000)])
+        fair = SoloFair([flat_seller(10, availability=40_000)])
         fair.join(order("b1", 1))
         cached = fair._cached_outlook
 
@@ -134,7 +193,7 @@ class TestJoin:
 
     def test_join_refused_by_the_dp_budget_leaves_the_fair_unchanged(self):
         # one unlimited seller and q = 10^8: the exact solver refuses the sweep
-        fair = open_fair("paper", [flat_seller(10)])
+        fair = SoloFair([flat_seller(10)])
         deadline = fair.deadline
         with pytest.raises(ValueError, match="budget"):
             fair.join(order("b1", 100_000_000, max_wait=500.0))
@@ -143,14 +202,14 @@ class TestJoin:
         assert (fair.demand, fair.deadline) == (2, 501.0)
 
     def test_duplicate_buyer_is_rejected(self):
-        fair = open_fair("paper", [flat_seller(10)])
+        fair = SoloFair([flat_seller(10)])
         fair.join(order("b1", 1))
         with pytest.raises(ValueError):
             fair.join(order("b1", 1, join_time=2.0))
 
     def test_deadline_never_increases(self):
         rng = random.Random(71)
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=30 * DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=30 * DAY))
         deadlines = [fair.deadline]
         t = 0.0
         for i in range(25):
@@ -170,26 +229,26 @@ class TestPredict:
         ]
 
     def test_current_price_and_projection(self):
-        fair = open_fair("paper", self.ab_sellers())
+        fair = SoloFair(self.ab_sellers())
         prediction = fair.join(order("b1", 3), what_if=[5])
         assert prediction.current_price_cents == Fraction(9000)  # A at 90
         assert prediction.what_if == ((5, Fraction(7800)),)  # B at 78
 
     def test_zero_demand_prediction_has_optimum_only(self):
-        fair = open_fair("paper", self.ab_sellers())
+        fair = SoloFair(self.ab_sellers())
         prediction = fair.predict()
         assert prediction.current_price_cents is None
         assert prediction.optimal.q_star >= 1
 
     def test_unlimited_predictions_monotone_in_demand(self):
-        fair = open_fair("paper", self.ab_sellers())
+        fair = SoloFair(self.ab_sellers())
         prediction = fair.predict(what_if=range(1, 120))
         prices = [z for _, z in prediction.what_if if z is not None]
         assert all(b <= a for a, b in zip(prices, prices[1:]))
 
     def test_at_optimum_current_equals_z_star(self):
         seller = flat_seller(10, availability=50)
-        fair = open_fair("paper", [seller])
+        fair = SoloFair([seller])
         prediction = fair.join(order("b1", 1))
         assert prediction.current_price_cents == prediction.optimal.z_star_cents
 
@@ -204,26 +263,26 @@ def interior_minimum_sellers():
 
 class TestCheckEnd:
     def test_deadline_boundary_is_inclusive(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
         assert fair.check_end(DAY) is FairStatus.ENDED_BY_TIME
 
     def test_below_deadline_and_optimum_keeps_running(self):
-        fair = open_fair("paper", interior_minimum_sellers(), FairConfig(max_duration=DAY))
+        fair = SoloFair(interior_minimum_sellers(), FairConfig(max_duration=DAY))
         fair.join(order("b1", 2))
         assert fair.check_end(0.5 * DAY) is FairStatus.RUNNING
 
     def test_reaching_the_optimum_ends_the_fair(self):
-        fair = open_fair("paper", interior_minimum_sellers(), FairConfig(max_duration=DAY))
+        fair = SoloFair(interior_minimum_sellers(), FairConfig(max_duration=DAY))
         fair.join(order("b1", 5))
         assert fair.check_end(0.5 * DAY) is FairStatus.ENDED_BY_OPTIMAL_PRICE
 
     def test_near_miss_keeps_running(self):
-        fair = open_fair("paper", interior_minimum_sellers(), FairConfig(max_duration=DAY))
+        fair = SoloFair(interior_minimum_sellers(), FairConfig(max_duration=DAY))
         fair.join(order("b1", 4))  # 70 CU, not the 60 CU optimum
         assert fair.check_end(0.5 * DAY) is FairStatus.RUNNING
 
     def test_never_moves_backward(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
         fair.check_end(DAY)
         assert fair.check_end(0.0) is FairStatus.ENDED_BY_TIME
 
@@ -409,17 +468,17 @@ class TestFidelity:
         assert join_earliness(20.0, 0.0, 10.0) == 0.0
 
 
-def settled_fair(orders, sellers=None, margin="0.05", discount="0.04", ledger=None):
+def settled_fair(orders, sellers=None, margin="0.05", discount="0.04"):
     config = FairConfig(
         max_duration=DAY,
         margin=Fraction(margin),
         fidelity_discount=Fraction(discount),
     )
-    fair = open_fair("paper", sellers or [flat_seller(10, 100)], config)
+    fair = SoloFair(sellers or [flat_seller(10, 100)], config)
     for o in orders:
-        fair.join(o, ledger=ledger)
-    fair.check_end(fair.deadline, ledger=ledger)
-    return fair, fair.settle(ledger=ledger)
+        fair.join(o)
+    fair.check_end(fair.deadline)
+    return fair, fair.settle()
 
 
 class TestSettlement:
@@ -465,7 +524,7 @@ class TestSettlement:
         assert base.buyers_total_cents == shifted.buyers_total_cents
 
     def test_settle_requires_an_ended_fair(self):
-        fair = open_fair("paper", [flat_seller(10)])
+        fair = SoloFair([flat_seller(10)])
         with pytest.raises(LifecycleError):
             fair.settle()
 
@@ -475,7 +534,7 @@ class TestSettlement:
             fair.settle()
 
     def test_empty_fair_settles_empty(self):
-        fair = open_fair("paper", [flat_seller(10)], FairConfig(max_duration=DAY))
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
         fair.check_end(DAY)
         settlement = fair.settle()
         assert settlement.buyer_charges == ()
@@ -505,7 +564,7 @@ class TestSettlement:
                 for j in range(rng.randint(1, 3))
             ]
             config = FairConfig(max_duration=DAY, margin=margin)
-            fair = open_fair("paper", sellers, config)
+            fair = SoloFair(sellers, config)
             for o in orders:
                 fair.join(o)
             fair.check_end(fair.deadline)
@@ -522,7 +581,7 @@ class TestSellerLedger:
     def test_commit_tracks_availability(self):
         seller = flat_seller(10, availability=10)
         ledger = SellerLedger([seller])
-        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY))
+        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 4), ledger=ledger)
         fair.check_end(DAY, ledger=ledger)
         fair.settle(ledger=ledger)
@@ -532,7 +591,7 @@ class TestSellerLedger:
     def test_join_sees_other_fairs_commitments(self):
         seller = flat_seller(10, availability=5)
         ledger = SellerLedger([seller])
-        first = open_fair("paper", [seller], FairConfig(max_duration=DAY))
+        first = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
         first.join(order("b1", 3), ledger=ledger)
         first.check_end(DAY, ledger=ledger)
         first.settle(ledger=ledger)
@@ -546,7 +605,7 @@ class TestSellerLedger:
         cheap = flat_seller(10, availability=5, seller_id="A")
         backup = flat_seller(20, availability=5, seller_id="B")
         ledger = SellerLedger([cheap, backup])
-        fair = open_fair("paper", [cheap, backup], FairConfig(max_duration=DAY))
+        fair = open_fair("paper", [cheap, backup], FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 4), ledger=ledger)
 
         rival = open_fair("paper", [cheap], FairConfig(max_duration=DAY), ledger=ledger)
@@ -561,7 +620,7 @@ class TestSellerLedger:
     def test_settlement_fails_with_shortfall_when_capacity_is_gone(self):
         seller = flat_seller(10, availability=5)
         ledger = SellerLedger([seller])
-        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY))
+        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 4), ledger=ledger)
 
         rival = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
@@ -577,7 +636,7 @@ class TestSellerLedger:
     def test_failed_commit_leaves_ledger_unchanged(self):
         seller = flat_seller(10, availability=5)
         ledger = SellerLedger([seller])
-        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY))
+        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
         fair.join(order("b1", 5), ledger=ledger)
         fair.check_end(DAY, ledger=ledger)
         fair.settle(ledger=ledger)

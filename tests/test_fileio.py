@@ -302,6 +302,19 @@ class TestScenario:
             ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
                           "max_wait": 100, "history": {"join_earliness": True}}]},
              "events[0]: join_earliness"),
+            # exact amounts: a non-finite one, or one too large to build exactly
+            ({"config": {"margin": "Infinity"}}, "config: amount must be finite"),
+            # JSON's 1e999 reads as this float
+            ({"config": {"fidelity_discount": float("inf")}}, "config: amount must be finite"),
+            ({"config": {"margin": "1e999999999"}}, "config: amount '1e999999999'"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "fidelity": "Infinity"}]},
+             "events[0]: amount must be finite"),
+            ({"events": [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                          "max_wait": 100, "fidelity": "1e999999999"}]},
+             "events[0]: amount '1e999999999'"),
+            ({"sellers": [{"id": "A", "p1": "Infinity", "rate": 1, "sat": 5}]},
+             "sellers[0]: amount must be finite"),
         ],
     )
     def test_rejects_non_finite_numbers(self, tmp_path, change, where):
@@ -372,6 +385,15 @@ class TestScenario:
              "sellers[0]: id must be a non-empty string, got None"),
             ({"sellers": [{"id": 5, "p1": 10, "rate": 1, "sat": 5}]},
              "sellers[0]: id must be a non-empty string, got 5"),
+            ({"sellers": [{"id": "A", "p1": 10, "rate": 1, "sat": 5},
+                          {"id": "A", "p1": 10, "rate": 1, "sat": 5}]},
+             "sellers[1]: duplicate seller id 'A'"),
+            ({"sellers": [{"id": "A", "form": "cubic"}]},
+             "sellers[0]: unknown curve form 'cubic'"),
+            ({"sellers": [{"id": "A", "p1": 10, "rate": 1, "sat": 50}]},
+             "sellers[0]: saturation price cannot exceed the single-product price"),
+            ({"what_if": [0, -3, 2]}, "what_if[0]: demand must be at least 1, got 0"),
+            ({"what_if": [2, -3]}, "what_if[1]: demand must be at least 1, got -3"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, change, message):
@@ -379,3 +401,4 @@ class TestScenario:
         path.write_text(json.dumps({**SCENARIO, **change}), encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f"{path}:1: {message}")):
             read_scenario(str(path))
+

@@ -1,11 +1,13 @@
-"""Tests for exact money rendering."""
+"""Tests for exact money parsing and rendering."""
 
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fair_engine.money import frac_str, ratio_str
+from fair_engine.money import cents, frac_str, ratio, ratio_str
 
 
 def reference_str(value: Fraction, places: int) -> str:
@@ -44,3 +46,26 @@ def test_small_negatives_keep_their_sign():
     assert frac_str(0) == "0.0000"
     assert ratio_str(Fraction(-5, 2), 0) == "-2"
     assert ratio_str(Fraction(7, 2), 0) == "4"
+
+
+@pytest.mark.parametrize("parse", [ratio, cents])
+@pytest.mark.parametrize(
+    "value", ["Infinity", "-inf", "NaN", "sNaN", float("inf"), float("nan"), Decimal("Infinity")]
+)
+def test_non_finite_amounts_are_refused(parse, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse(value)
+
+
+@pytest.mark.parametrize("parse", [ratio, cents])
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999", "0e999999999", "1e4301"])
+def test_amounts_beyond_the_exponent_bound_are_refused(parse, value):
+    # an exact Fraction of 10^999999999 would never finish building
+    with pytest.raises(ValueError, match="decimal exponent beyond"):
+        parse(value)
+
+
+def test_amounts_within_the_exponent_bound_are_exact():
+    assert ratio("1e4300") == 10**4300
+    assert ratio("1e-4300") == Fraction(1, 10**4300)
+    assert cents("1e300") == 10**302
