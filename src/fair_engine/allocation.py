@@ -14,13 +14,15 @@ breaks marginal-cost arguments), so enumerating per-seller quantities is the
 sound route.  One DP sweep yields optima for every demand 1..q_max at once,
 which is what the fair-level price curve needs.
 
-A fair price curve of either method reads each seller's curve once, as an
-integer price table, and prices every demand from one sweep over those
-tables: the DP for the exact method, a blocked rank-and-fill for the greedy
-one.  Its points rebuild their allocations only when read: an exact curve
-walks its DP choice arrays back once for every demand and prices each split
-from the tables the sweep read; a greedy point calls `greedy_allocation`,
-which stays the reference for a single greedy demand.
+A fair price curve of either method reads each seller's curve as an
+integer price table, which the curve memoizes, and prices every demand from
+one sweep over those tables: the DP for the exact method, a blocked
+rank-and-fill for the greedy one, and, when no seller has a stock limit,
+the lower envelope for both (`_envelope_costs`).  Points rebuild their
+allocations only when read: an exact DP curve walks its choice arrays back
+once for every demand and prices each split from the tables the sweep read;
+a greedy point calls `greedy_allocation`, which stays the reference for a
+single greedy demand.
 """
 
 from __future__ import annotations
@@ -260,6 +262,47 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
     return costs
 
 
+def _envelope_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], list[str]]:
+    """Cheapest single-seller cost of every demand 1..q_cap, and that seller's id.
+
+    For sellers without stock limits this is both the exact optimum and the
+    greedy fill.  Prices are non-increasing, so a*pA(a) + b*pB(b) >=
+    (a+b)*min(pA(a+b), pB(a+b)): no split beats the best single seller,
+    and a split uses more sellers.  One argmin over the id-sorted price
+    tables picks the first minimum, the lowest id, which is the seller both
+    the DP's tie-break and the greedy rank choose.  The arithmetic is int64
+    when sum(q_cap * price(1)) fits and Python ints otherwise, as in
+    `_greedy_costs`.
+    """
+    ordered = sorted(sellers, key=lambda s: s.id)
+    tables = [s.curve.price_table(q_cap) for s in ordered]
+    cost_bound = q_cap * sum(table[1] for table in tables)
+    prices = np.array(tables, dtype=np.int64 if cost_bound < (1 << 63) else object)[:, 1:]
+    pick = prices.argmin(axis=0)
+    q = np.arange(1, q_cap + 1)
+    costs = (prices[pick, q - 1] * q).tolist()
+    return costs, [ordered[i].id for i in pick.tolist()]
+
+
+def _check_exact_scale(sellers: Sequence[Seller], q_max: int) -> None:
+    """Refuse an exact curve to q_max over the DP cell budget or the cost scale.
+
+    A DP sweep fills sum(capacity) * (q_max + 1) cells; one over the budget
+    is refused before any price is read.  Packed int64 keys need
+    sum(capacity * price(1)) * (sellers + 1) below 2**60.  Both refusals
+    hold whichever path then prices the curve.
+    """
+    cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
+    if cells > _DP_CELL_BUDGET:
+        raise ValueError(
+            f"demand {q_max} needs {cells} DP cells, over the exact solver's "
+            f"budget of {_DP_CELL_BUDGET}"
+        )
+    cost_bound = sum(s.capacity(q_max) * s.curve.price_at(1) for s in sellers)
+    if cost_bound * (len(sellers) + 1) >= (1 << 60):  # keep packed int64 keys overflow-free
+        raise ValueError("cost scale too large for the exact solver")
+
+
 def _dp_tables(
     sellers: Sequence[Seller], q_max: int
 ) -> tuple[np.ndarray, list[np.ndarray], list[Seller], int, np.ndarray, np.ndarray]:
@@ -275,26 +318,16 @@ def _dp_tables(
     lexicographically smallest seller ids.  A candidate built on an
     unreachable key stays above _INF, so it never wins.
 
-    A sweep fills sum(capacity) * (q_max + 1) cells; one over the budget is
-    refused before any price is read or array allocated.  A seller with no
-    stock gets a shared read-only choice array of zeros and no blocks.
+    A seller with no stock gets a shared read-only choice array of zeros
+    and no blocks.  The caller has passed `_check_exact_scale`.
 
     Returns the final keys, one choice array per seller in id order, the
     ordered sellers, the key width, and the price tables the sweep read as
     one flat int64 array with each seller's offset into it (see
     `_price_tables`); every price fits, as the cost-scale check bounds them.
     """
-    cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
-    if cells > _DP_CELL_BUDGET:
-        raise ValueError(
-            f"demand {q_max} needs {cells} DP cells, over the exact solver's "
-            f"budget of {_DP_CELL_BUDGET}"
-        )
     ordered = sorted(sellers, key=lambda s: s.id)
     width = len(ordered) + 1
-    cost_bound = sum(s.capacity(q_max) * s.curve.price_at(1) for s in ordered)
-    if cost_bound * width >= (1 << 60):  # keep packed int64 keys overflow-free
-        raise ValueError("cost scale too large for the exact solver")
     key = np.full(q_max + 1, _INF, dtype=np.int64)
     key[0] = 0
     rows = np.arange(q_max + 1)
@@ -399,8 +432,9 @@ class _ExactSplits:
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     """Minimum-total-cost split of q units across the sellers.
 
-    Exact dynamic program, O(n * q * max availability); ties resolved toward
-    fewest sellers used, then lexicographically smallest seller ids.  The
+    Exact dynamic program, O(n * q * max availability), or O(n * q) when no
+    seller has a stock limit; ties resolved toward fewest sellers used, then
+    lexicographically smallest seller ids.  The
     split is point q of the exact fair price curve: a point does not depend
     on how far the curve reaches.
     """
@@ -482,9 +516,10 @@ def fair_price_curve(
     """Sweep demands 1..q_max and record the price and allocation per demand.
 
     Each method prices every demand from one sweep over the sellers' price
-    tables: the DP for the exact method, `_greedy_costs` for the greedy one.
-    Each point's allocation is rebuilt when it is first read: the first read
-    on an exact curve walks the DP choices back for every demand at once.
+    tables: the DP for the exact method, `_greedy_costs` for the greedy one,
+    and `_envelope_costs` for both when no seller has a stock limit.  Each
+    point's allocation is rebuilt when it is first read: the first read on
+    an exact DP curve walks the choices back for every demand at once.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -496,17 +531,26 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
+    unlimited = all(s.availability is None for s in sellers)
     costs: list[Cents] = []
     source: Callable[[FairPricePoint], Allocation] | None = None
     if method == "exact" and q_cap >= 1:
-        key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
-        # packed is cost*width + sellers used, so the cost is its quotient;
-        # the curve ends before the first demand no split reaches
-        costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-        source = _ExactSplits(choices, ordered, prices, offsets, len(costs))
+        _check_exact_scale(sellers, q_cap)
+        if unlimited:
+            costs, winners = _envelope_costs(sellers, q_cap)
+            source = lambda point: _build_allocation(
+                [(winners[point.q - 1], point.q, costs[point.q - 1] // point.q)],
+                point.q, point.price_cents,
+            )
+        else:
+            key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
+            # packed is cost*width + sellers used, so the cost is its quotient;
+            # the curve ends before the first demand no split reaches
+            costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
+            source = _ExactSplits(choices, ordered, prices, offsets, len(costs))
     elif method == "greedy":
         market = tuple(sellers)
-        costs = _greedy_costs(market, q_cap)
+        costs = _envelope_costs(market, q_cap)[0] if unlimited else _greedy_costs(market, q_cap)
         source = lambda point: greedy_allocation(market, point.q)
     points = tuple(
         FairPricePoint(q, Fraction(cost, q), source=source)

@@ -52,11 +52,25 @@ def _check_quantity(q: int) -> None:
 class PriceCurve:
     """Common interface: `price_at(q)` returns the unit price in cents."""
 
+    _table: list[Cents] = []  # the longest table read so far; replaced, never mutated
+
     def price_at(self, q: int) -> Cents:
         raise NotImplementedError
 
     def price_table(self, x_max: int) -> list[Cents]:
-        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0."""
+        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0.
+
+        A curve is immutable, so it keeps the longest table read so far and
+        returns a copy of its prefix.  The memo is swapped in one assignment,
+        so reads on several threads each see a whole table.
+        """
+        table = self._table
+        if len(table) <= x_max:
+            table = self._fresh_table(x_max)
+            object.__setattr__(self, "_table", table)
+        return table[: x_max + 1]
+
+    def _fresh_table(self, x_max: int) -> list[Cents]:
         return [0] + [self.price_at(x) for x in range(1, x_max + 1)]
 
 
@@ -92,7 +106,7 @@ class LinearPlateauCurve(PriceCurve):
             return self.sat_cents
         return div_round_half_even(value_num, den)
 
-    def price_table(self, x_max: int) -> list[Cents]:
+    def _fresh_table(self, x_max: int) -> list[Cents]:
         # price_at's arithmetic in one pass: the numerator falls by the rate
         # per unit until the plateau, which fills the rest of the table
         num = self.rate.numerator * 100

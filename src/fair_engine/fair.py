@@ -171,8 +171,8 @@ class FairConfig:
             raise ValueError("max duration must be positive and finite")
         margin = ratio(self.margin)
         discount = ratio(self.fidelity_discount)
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
+        if not 0 <= margin <= 1:
+            raise ValueError("margin must be in [0, 1], a markup of at most 100 % of cost")
         if not 0 <= discount < 1:
             raise ValueError("fidelity discount must be in [0, 1)")
         if self.curve_horizon < 1:
@@ -246,7 +246,8 @@ class SellerLedger:
             self._committed[seller.id] = 0
 
     def committed(self, seller_id: str) -> int:
-        return self._committed.get(seller_id, 0)
+        self.available(seller_id)  # refuses a seller the ledger does not hold
+        return self._committed[seller_id]
 
     def available(self, seller_id: str) -> int | None:
         """The seller's stock not yet committed; None when it has no limit."""

@@ -167,18 +167,21 @@ def run_experiment(
     greedy = fair_price_curve(sellers, q_max, method="greedy")
     summary_curve = exact if method == "exact" else greedy
     optimal = optimal_demand(summary_curve)
-    gap = Fraction(0)
+    # the gap is pg/pe - 1: keep the largest ratio as integers num/den,
+    # compared by cross-multiplying, starting from 1/1 (no gap)
+    num, den = 1, 1
     for pe, pg in zip(exact.points, greedy.points):
-        rel = (pg.price_cents - pe.price_cents) / pe.price_cents
-        if rel > gap:
-            gap = rel
+        e, g = pe.price_cents, pg.price_cents
+        n, d = g.numerator * e.denominator, g.denominator * e.numerator
+        if n * den > num * d:
+            num, den = n, d
     return ExperimentRun(
         availability=availability,
         curve_exact=exact,
         curve_greedy=greedy,
         optimal=optimal,
         nonmonotone=not summary_curve.is_monotone_non_increasing(),
-        max_greedy_gap=gap,
+        max_greedy_gap=Fraction(num - den, den),
         notices=tuple(notices),
     )
 

@@ -518,3 +518,64 @@ def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng
             assert entry.unit_price_cents == by_id[entry.seller_id].curve.price_at(entry.quantity)
         assert alloc.total_quantity == point.q
         assert alloc.total_cost_cents == point.price_cents * point.q
+
+
+@st.composite
+def unlimited_markets(draw):
+    """1-5 sellers without stock limits, ids shuffled, and a demand horizon <= 12.
+
+    The sellers draw from a pool of linear and step curves that may be
+    smaller than the market, so several sellers can share one curve.
+    """
+    n = draw(st.integers(1, 5))
+    pool = st.sampled_from(draw(st.lists(small_curves(), min_size=1, max_size=n)))
+    ids = draw(st.permutations([f"S{i}" for i in range(n)]))
+    return [Seller(sid, draw(pool)) for sid in ids], draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unlimited_markets())
+def test_unlimited_curves_are_the_scan_and_the_brute_force_at_every_demand(market):
+    # the lower envelope prices both methods: one seller, the lowest id among
+    # the cheapest, as the DP's upward scan picks it
+    sellers, q_max = market
+    curves = [fair_price_curve(sellers, q_max, method=m) for m in ("exact", "greedy")]
+    for q in range(1, q_max + 1):
+        split = scan_allocation(sellers, q)
+        summary = "+".join(f"{sid}:{x}" for sid, x in sorted(split.items()))
+        cost = brute_force_min_cost(sellers, q)
+        for curve in curves:
+            point = curve.points[q - 1]
+            assert point.price_cents * q == cost
+            assert point.allocation.summary() == summary
+            assert point.allocation.total_cost_cents == cost
+
+
+def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(allocation_mod, "_dp_tables", no_dp)
+    unlimited = [Seller("B", linear_curve(9, "0.5", 6)), Seller("A", linear_curve(8, 0, 8))]
+    curve = fair_price_curve(unlimited, 20)
+    assert [p.allocation.summary() for p in curve.points[:2]] == ["A:1", "A:2"]
+    assert curve.points[-1].allocation.summary() == "B:20"
+    mixed = [*unlimited, Seller("C", linear_curve(5, 0, 5), availability=3)]
+    with pytest.raises(AssertionError, match="the DP ran"):
+        fair_price_curve(mixed, 20)
+
+
+def test_unlimited_costs_beyond_int64_stay_exact():
+    # sum(q * price(1)) is about 3.2e21, over 2**63: the greedy envelope
+    # takes Python ints, and the exact one refuses the cost scale as the DP did
+    sellers = [
+        Seller(f"S{i}", LinearPlateauCurve(10**19, Fraction(10**17 * (i + 1)), 10**18))
+        for i in range(2)
+    ]
+    curve = fair_price_curve(sellers, 160, method="greedy")
+    for point in curve.points:
+        expected = greedy_allocation(sellers, point.q)
+        assert point.price_cents == expected.fair_unit_price_cents
+        assert point.allocation == expected
+    with pytest.raises(ValueError, match="cost scale too large for the exact solver"):
+        fair_price_curve(sellers, 160)

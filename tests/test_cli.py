@@ -2,6 +2,7 @@
 
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,27 @@ class TestFairSim:
         assert main(["fair-sim", write_scenario(tmp_path, scenario),
                      "--out", str(tmp_path / "sim")]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["1.0001", "1e4300"])
+    def test_margin_above_a_full_markup_exits_2_before_any_output(self, tmp_path, capsys, margin):
+        # a 4301-digit margin would fail only when printed, past every check
+        scenario = base_scenario([])
+        scenario["config"]["margin"] = margin
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "sim"
+        assert main(["fair-sim", path, "--out", str(out)]) == 2
+        assert f"{path}:1: config: margin must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_full_markup_doubles_the_cost(self, tmp_path):
+        scenario = base_scenario([{"at": 10, "action": "join", "buyer_id": "b1",
+                                   "quantity": 2, "max_wait": 100}])
+        scenario["config"]["margin"] = "1"
+        out = tmp_path / "sim"
+        assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        settle = records[-1]
+        assert Decimal(settle["buyers_total"]) == 2 * Decimal(settle["sellers_total"]) > 0
 
     @pytest.mark.parametrize(
         "events, extra, where",

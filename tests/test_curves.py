@@ -1,6 +1,8 @@
 """Tests for seller price curves and the multi-seller lower envelope."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -238,3 +240,59 @@ class TestLowerEnvelope:
         curve = linear_curve(10, 1, 5)
         with pytest.raises(ValueError):
             lower_envelope([("A", curve), ("A", curve)], 10)
+
+
+MEMO_CURVES = (
+    lambda: LinearPlateauCurve(p1_cents=9000, rate=Fraction(37, 100), sat_cents=5000),
+    lambda: tabular_curve(PAPER_STACK_BANDS),
+)
+
+
+@pytest.mark.parametrize("make", MEMO_CURVES, ids=("linear", "tabular"))
+@pytest.mark.parametrize("order", [(5, 200, 50), (200, 50, 5), (50, 5, 200)])
+def test_price_table_reads_in_any_order_equal_fresh_tables(make, order):
+    curve = make()
+    for x_max in order:
+        table = curve.price_table(x_max)
+        assert table == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+        table[-1] = -1  # the caller's list is its own
+        table.append(-2)
+    for x_max in order:
+        assert curve.price_table(x_max) == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+
+
+@pytest.mark.parametrize("make", MEMO_CURVES, ids=("linear", "tabular"))
+def test_price_table_reads_on_several_threads_agree(make):
+    # the first reads of a fresh curve race to fill its memo, so the race is
+    # run for several rounds, each on a fresh curve
+    lengths = (5, 50, 200)
+    reference = make()
+    fresh = {x: [0] + [reference.price_at(q) for q in range(1, x + 1)] for x in lengths}
+    orders = [(5, 200, 50), (200, 50, 5), (50, 5, 200), (200, 5, 50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            curve = make()
+            start = threading.Barrier(len(orders))
+            seen, errors = [], []
+
+            def read(order):
+                try:
+                    start.wait(timeout=10)
+                    for _ in range(5):
+                        seen.extend((x, curve.price_table(x)) for x in order)
+                except Exception as exc:  # reported below, once every thread has stopped
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(seen) == len(orders) * 5 * len(lengths)
+            assert all(table == fresh[x] for x, table in seen)
+    finally:
+        sys.setswitchinterval(interval)

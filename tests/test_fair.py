@@ -132,6 +132,14 @@ class TestLedgerIsRequired:
             open_fair("paper", [known, stranger], ledger=ledger)
         assert ledger.available("S1") == 5  # nothing was registered on the way
 
+    def test_committed_of_an_unknown_seller_is_refused(self):
+        ledger = SellerLedger([flat_seller(10, 5)])
+        with pytest.raises(ValueError, match="seller X not in ledger"):
+            ledger.committed("X")
+        with pytest.raises(ValueError, match="seller X not in ledger"):
+            SellerLedger([]).committed("X")
+        assert ledger.committed("S1") == 0
+
     def test_an_unnamed_fair_is_named_after_its_product(self):
         seller = flat_seller(10)
         ledger = SellerLedger([seller])
@@ -764,3 +772,9 @@ class TestOrderValidation:
     def test_config_rejects_non_finite_duration(self, value):
         with pytest.raises(ValueError, match="max duration"):
             FairConfig(max_duration=value)
+
+    def test_config_bounds_the_margin_to_a_full_markup(self):
+        assert FairConfig(margin=1).margin == 1
+        for margin in ("1.0001", "1e4300", "-0.01"):
+            with pytest.raises(ValueError, match=r"margin must be in \[0, 1\]"):
+                FairConfig(margin=margin)

@@ -1,6 +1,7 @@
 """Tests for seeded population generation and the experiment harness."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ class TestRunExperiment:
         for availability in (4, None):
             run = run_experiment(spec, availability, q_max=30)
             assert run.max_greedy_gap >= 0
+
+    @pytest.mark.parametrize("availability", [1, 10, None])
+    def test_greedy_gap_is_the_largest_relative_excess(self, availability):
+        run = run_experiment(PopulationSpec(n_sellers=12, seed=31), availability, q_max=40)
+        expected = max(
+            (g.price_cents - e.price_cents) / e.price_cents
+            for e, g in zip(run.curve_exact.points, run.curve_greedy.points)
+        )
+        assert isinstance(run.max_greedy_gap, Fraction)
+        assert run.max_greedy_gap == max(expected, 0)
+        if availability is None:  # one seller covers every demand, so greedy is exact
+            assert run.max_greedy_gap == 0
+        if availability == 10:
+            assert run.max_greedy_gap > 0
 
     def test_rejects_bad_arguments(self):
         spec = PopulationSpec(n_sellers=3, seed=1)
