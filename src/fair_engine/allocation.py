@@ -16,9 +16,9 @@ which is what the fair-level price curve needs.
 
 A fair price curve of either method reads each seller's curve as an
 integer price table, which the curve memoizes, and prices every demand from
-one sweep over those tables: the DP for the exact method, a blocked
-rank-and-fill for the greedy one, and, when no seller has a stock limit,
-the lower envelope for both (`_envelope_costs`).  Points rebuild their
+one sweep over those tables: the DP for the exact method, or, when no
+seller has a stock limit, the lower envelope (`lower_envelope`), and a
+blocked rank-and-fill for the greedy one.  Points rebuild their
 allocations only when read: an exact DP curve walks its choice arrays back
 once for every demand and prices each split from the tables the sweep read;
 a greedy point calls `greedy_allocation`, which stays the reference for a
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .curves import PriceCurve, _check_quantity
+from .curves import PriceCurve, _check_quantity, lower_envelope
 from .geo import ORIGIN, Position
 from .money import Cents
 
@@ -218,17 +218,19 @@ _DP_CELL_BUDGET = 1 << 30  # most cells one sweep may fill; n=200 unlimited q=20
 
 
 def _price_tables(
-    ordered: Sequence[Seller], q_cap: int
-) -> tuple[list[Cents], np.ndarray, np.ndarray]:
+    ordered: Sequence[Seller], q_cap: int, dtype: object = np.int64
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each seller's unit prices for x = 0..capacity, read once per curve build.
 
-    The tables are laid end to end: seller i's price for x is
-    flat[offsets[i] + x], for x = 0..capacities[i].
+    The tables are laid end to end in one array: seller i's price for x is
+    flat[offsets[i] + x], for x = 0..capacities[i].  The array is filled
+    from each curve's memoized table, with no list copy beside it.
     """
-    tables = [s.curve.price_table(s.capacity(q_cap)) for s in ordered]
-    caps = np.array([len(t) - 1 for t in tables], dtype=np.int64)
+    caps = np.array([s.capacity(q_cap) for s in ordered], dtype=np.int64)
     offsets = np.cumsum(caps + 1) - (caps + 1)
-    return list(chain.from_iterable(tables)), caps, offsets
+    tables = (islice(s.curve._memo_table(c), c + 1) for s, c in zip(ordered, caps.tolist()))
+    flat = np.fromiter(chain.from_iterable(tables), dtype, int(caps.sum()) + len(ordered))
+    return flat, caps, offsets
 
 
 def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
@@ -246,11 +248,9 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
     usable = sorted((s for s in sellers if s.capacity(q_cap) > 0), key=lambda s: s.id)
     if not usable:
         return []
-    prices, caps, offsets = _price_tables(usable, q_cap)
-    cost_bound = sum(c * prices[o + 1] for c, o in zip(caps.tolist(), offsets.tolist()))
+    cost_bound = sum(s.capacity(q_cap) * s.curve.price_at(1) for s in usable)
     dtype = np.int64 if cost_bound < (1 << 63) else object
-    flat = np.array(prices, dtype=dtype)
-    del prices  # the sweep reads the array; free the list first
+    flat, caps, offsets = _price_tables(usable, q_cap, dtype)
     step = max(1, _DP_BLOCK_CELLS // len(usable))
     costs: list[Cents] = []
     for lo in range(1, q_cap + 1, step):
@@ -260,28 +260,6 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
         take = np.clip(q - (np.cumsum(cover, axis=1) - cover), 0, cover)
         costs += (take * flat[offsets[rank] + take]).sum(axis=1).tolist()
     return costs
-
-
-def _envelope_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], list[str]]:
-    """Cheapest single-seller cost of every demand 1..q_cap, and that seller's id.
-
-    For sellers without stock limits this is both the exact optimum and the
-    greedy fill.  Prices are non-increasing, so a*pA(a) + b*pB(b) >=
-    (a+b)*min(pA(a+b), pB(a+b)): no split beats the best single seller,
-    and a split uses more sellers.  One argmin over the id-sorted price
-    tables picks the first minimum, the lowest id, which is the seller both
-    the DP's tie-break and the greedy rank choose.  The arithmetic is int64
-    when sum(q_cap * price(1)) fits and Python ints otherwise, as in
-    `_greedy_costs`.
-    """
-    ordered = sorted(sellers, key=lambda s: s.id)
-    tables = [s.curve.price_table(q_cap) for s in ordered]
-    cost_bound = q_cap * sum(table[1] for table in tables)
-    prices = np.array(tables, dtype=np.int64 if cost_bound < (1 << 63) else object)[:, 1:]
-    pick = prices.argmin(axis=0)
-    q = np.arange(1, q_cap + 1)
-    costs = (prices[pick, q - 1] * q).tolist()
-    return costs, [ordered[i].id for i in pick.tolist()]
 
 
 def _check_exact_scale(sellers: Sequence[Seller], q_max: int) -> None:
@@ -334,9 +312,7 @@ def _dp_tables(
     step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
     no_stock = np.zeros(q_max + 1, dtype=np.int32)  # every seller without stock shares it
     no_stock.flags.writeable = False
-    flat, caps, offsets = _price_tables(ordered, q_max)
-    prices = np.array(flat, dtype=np.int64)
-    del flat  # the sweep reads the int64 copy; free the Python ints first
+    prices, caps, offsets = _price_tables(ordered, q_max)
     # one candidate buffer for every block, so only one block is held at a time
     block = np.empty((q_max + 1, min(step, int(caps.max()) + 1)), dtype=np.int64)
     choices: list[np.ndarray] = []
@@ -516,8 +492,8 @@ def fair_price_curve(
     """Sweep demands 1..q_max and record the price and allocation per demand.
 
     Each method prices every demand from one sweep over the sellers' price
-    tables: the DP for the exact method, `_greedy_costs` for the greedy one,
-    and `_envelope_costs` for both when no seller has a stock limit.  Each
+    tables: the DP for the exact method, or `lower_envelope` when no seller
+    has a stock limit, and `_greedy_costs` for the greedy one.  Each
     point's allocation is rebuilt when it is first read: the first read on
     an exact DP curve walks the choices back for every demand at once.
     """
@@ -531,15 +507,19 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    unlimited = all(s.availability is None for s in sellers)
     costs: list[Cents] = []
     source: Callable[[FairPricePoint], Allocation] | None = None
     if method == "exact" and q_cap >= 1:
         _check_exact_scale(sellers, q_cap)
-        if unlimited:
-            costs, winners = _envelope_costs(sellers, q_cap)
+        if all(s.availability is None for s in sellers):
+            # Without stock limits one seller always suffices: prices are
+            # non-increasing, so a*pA(a) + b*pB(b) >= (a+b)*min(pA(a+b),
+            # pB(a+b)), and a split uses more sellers.  Among the cheapest,
+            # the DP's tie-break and the envelope both pick the lowest id.
+            best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
+            costs = [p.q * p.price_cents for p in best]
             source = lambda point: _build_allocation(
-                [(winners[point.q - 1], point.q, costs[point.q - 1] // point.q)],
+                [(best[point.q - 1].seller_id, point.q, best[point.q - 1].price_cents)],
                 point.q, point.price_cents,
             )
         else:
@@ -550,7 +530,7 @@ def fair_price_curve(
             source = _ExactSplits(choices, ordered, prices, offsets, len(costs))
     elif method == "greedy":
         market = tuple(sellers)
-        costs = _envelope_costs(market, q_cap)[0] if unlimited else _greedy_costs(market, q_cap)
+        costs = _greedy_costs(market, q_cap)
         source = lambda point: greedy_allocation(market, point.q)
     points = tuple(
         FairPricePoint(q, Fraction(cost, q), source=source)

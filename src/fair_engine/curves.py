@@ -18,8 +18,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import index as as_int
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .money import Cents, cents, div_round_half_even, ratio
 
@@ -58,17 +61,21 @@ class PriceCurve:
         raise NotImplementedError
 
     def price_table(self, x_max: int) -> list[Cents]:
-        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0.
+        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0."""
+        return self._memo_table(x_max)[: x_max + 1]
 
-        A curve is immutable, so it keeps the longest table read so far and
-        returns a copy of its prefix.  The memo is swapped in one assignment,
-        so reads on several threads each see a whole table.
+    def _memo_table(self, x_max: int) -> list[Cents]:
+        """The curve's own table, at least x = 0..x_max: read it, never mutate it.
+
+        A curve is immutable, so it keeps the longest table read so far.
+        The memo is swapped in one assignment, so reads on several threads
+        each see a whole table.
         """
         table = self._table
         if len(table) <= x_max:
             table = self._fresh_table(x_max)
             object.__setattr__(self, "_table", table)
-        return table[: x_max + 1]
+        return table
 
     def _fresh_table(self, x_max: int) -> list[Cents]:
         return [0] + [self.price_at(x) for x in range(1, x_max + 1)]
@@ -202,7 +209,13 @@ class Envelope:
 def lower_envelope(
     sellers: Sequence[tuple[str, PriceCurve]], q_max: int = DEFAULT_Q_MAX
 ) -> Envelope:
-    """Compute the best single-seller price for every quantity 1..q_max."""
+    """Compute the best single-seller price for every quantity 1..q_max.
+
+    The sellers' memoized price tables are scanned in id order, and each
+    keeps the quantities where it is strictly cheaper than every lower id,
+    so price ties go to the lowest id.  Prices are int64 when every
+    single-unit price fits, and Python ints otherwise.
+    """
     if not sellers:
         raise ValueError("envelope needs at least one seller")
     _check_quantity(q_max)
@@ -211,14 +224,20 @@ def lower_envelope(
     if len(set(ids)) != len(ids):
         raise ValueError("seller ids must be unique")
 
-    points: list[EnvelopePoint] = []
-    for q in range(1, q_max + 1):
-        best_id, best_price = None, None
-        for sid, curve in ordered:
-            price = curve.price_at(q)
-            if best_price is None or price < best_price:
-                best_id, best_price = sid, price
-        points.append(EnvelopePoint(q=q, seller_id=best_id, price_cents=best_price))
+    tables = [curve._memo_table(q_max) for _, curve in ordered]
+    top = max(table[1] for table in tables)  # prices are non-increasing
+    dtype = np.int64 if top < (1 << 63) else object
+    best = np.zeros(q_max, dtype=dtype)
+    pick = np.zeros(q_max, dtype=np.intp)
+    for i, table in enumerate(tables):
+        prices = np.fromiter(islice(table, 1, q_max + 1), dtype, q_max)
+        cheaper = prices < best if i else slice(None)
+        best[cheaper] = prices[cheaper]
+        pick[cheaper] = i
+    points = tuple(
+        EnvelopePoint(q=q, seller_id=ids[i], price_cents=price)
+        for q, i, price in zip(range(1, q_max + 1), pick.tolist(), best.tolist())
+    )
 
     segments: list[EnvelopeSegment] = []
     start = 1
@@ -227,4 +246,4 @@ def lower_envelope(
             segments.append(EnvelopeSegment(start, prev.q, prev.seller_id))
             start = nxt.q
     segments.append(EnvelopeSegment(start, points[-1].q, points[-1].seller_id))
-    return Envelope(points=tuple(points), segments=tuple(segments))
+    return Envelope(points=points, segments=tuple(segments))

@@ -566,8 +566,8 @@ def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
 
 
 def test_unlimited_costs_beyond_int64_stay_exact():
-    # sum(q * price(1)) is about 3.2e21, over 2**63: the greedy envelope
-    # takes Python ints, and the exact one refuses the cost scale as the DP did
+    # sum(q * price(1)) is about 3.2e21, over 2**63: the greedy sweep takes
+    # Python ints, and the exact curve refuses the cost scale as the DP did
     sellers = [
         Seller(f"S{i}", LinearPlateauCurve(10**19, Fraction(10**17 * (i + 1)), 10**18))
         for i in range(2)

@@ -221,6 +221,33 @@ class TestLowerEnvelope:
         env = lower_envelope([("B", curve), ("A", curve)], 5)
         assert all(p.seller_id == "A" for p in env.points)
 
+    def test_each_point_is_the_first_cheapest_seller_in_id_order(self):
+        # sellers share curves under shuffled ids, so prices tie often
+        rng = random.Random(16)
+        for _ in range(20):
+            pool = [_random_curve(rng) for _ in range(rng.randint(1, 4))]
+            sellers = [(f"S{i:02d}", rng.choice(pool)) for i in range(rng.randint(1, 8))]
+            rng.shuffle(sellers)
+            env = lower_envelope(sellers, 60)
+            for point in env.points:
+                best = min(sorted(sellers), key=lambda pair: pair[1].price_at(point.q))
+                assert point.seller_id == best[0]
+                assert point.price_cents == best[1].price_at(point.q)
+
+    def test_prices_beyond_int64_stay_exact(self):
+        # B falls three times as fast from twice the price: the two tie at
+        # q = 51, which goes to A, and B is cheaper from q = 52
+        big_a = LinearPlateauCurve(10**19, Fraction(10**15), 10**18)
+        big_b = LinearPlateauCurve(2 * 10**19, Fraction(3 * 10**15), 5 * 10**17)
+        env = lower_envelope([("B", big_b), ("A", big_a)], 100)
+        assert [(s.q_from, s.q_to, s.seller_id) for s in env.segments] == [
+            (1, 51, "A"),
+            (52, 100, "B"),
+        ]
+        for point in env.points:
+            assert type(point.price_cents) is int
+            assert point.price_cents == min(big_a.price_at(point.q), big_b.price_at(point.q))
+
     def test_segments_partition_the_range(self):
         rng = random.Random(14)
         sellers = [(f"S{i:02d}", _random_curve(rng)) for i in range(10)]
