@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Sequence
 
@@ -116,12 +117,6 @@ class Allocation:
     total_quantity: int
     total_cost_cents: Cents
     fair_unit_price_cents: Fraction
-
-    def quantity_for(self, seller_id: str) -> int:
-        for entry in self.entries:
-            if entry.seller_id == seller_id:
-                return entry.quantity
-        return 0
 
     def summary(self) -> str:
         return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
@@ -349,60 +344,49 @@ def _dp_tables(
     return key, choices, ordered, width, prices, offsets
 
 
-class _ExactSplits:
-    """Every split of one exact curve, rebuilt by one backward pass over the DP choices.
+def _exact_splits(
+    choices: list[np.ndarray],
+    ordered: Sequence[Seller],
+    prices: np.ndarray,
+    offsets: np.ndarray,
+    n: int,
+) -> Callable[[FairPricePoint], Allocation]:
+    """The point source of one exact curve: every split from one backward pass.
 
-    Until a split is first read it holds the choice arrays of the sellers
-    with stock.  The first read walks them once for all demands 0..n
-    together, sellers in reverse id order, each step one gather
-    x = choice[remaining] and remaining -= x.  The quantities then replace
-    the choices as a (sellers, n + 1) int32 matrix, one column per demand.
-    A point's split is its column's nonzero entries, in id order, priced
-    from the tables the DP sweep read.
+    The first read walks the choice arrays of the sellers with stock once
+    for all demands 0..n together, sellers in reverse id order, each step
+    one gather x = choice[remaining] and remaining -= x.  The walk is
+    memoized as a (sellers, n + 1) int32 matrix, one column per demand.  A
+    point's split is its column's nonzero entries, in id order, priced from
+    the tables the DP sweep read.
     """
+    stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
+    stocked_choices = [choices[i] for i in stocked]
+    ids = [ordered[i].id for i in stocked]
+    stocked_offsets = offsets[stocked]
 
-    __slots__ = ("_walked", "_n", "_ids", "_prices", "_offsets")
-
-    def __init__(
-        self,
-        choices: list[np.ndarray],
-        ordered: Sequence[Seller],
-        prices: np.ndarray,
-        offsets: np.ndarray,
-        n: int,
-    ):
-        stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
-        # one attribute that the first read swaps from the choices to the
-        # walked matrix, so reads on several threads each see a whole state
-        self._walked: list[np.ndarray] | np.ndarray = [choices[i] for i in stocked]
-        self._n = n
-        self._ids = [ordered[i].id for i in stocked]
-        self._prices = prices
-        self._offsets = offsets[stocked]
-
-    def _walk(self) -> np.ndarray:
-        walked = self._walked
-        if isinstance(walked, np.ndarray):
-            return walked
-        quantities = np.empty((len(walked), self._n + 1), dtype=np.int32)
-        remaining = np.arange(self._n + 1, dtype=np.intp)  # the index type: no cast per gather
-        for choice, x in zip(reversed(walked), quantities[::-1]):
+    @cache
+    def walk() -> np.ndarray:
+        quantities = np.empty((len(stocked_choices), n + 1), dtype=np.int32)
+        remaining = np.arange(n + 1, dtype=np.intp)  # the index type: no cast per gather
+        for choice, x in zip(reversed(stocked_choices), quantities[::-1]):
             x[:] = choice[remaining]
             remaining -= x
         assert not remaining.any(), "the DP choices must cover every demand"
-        self._walked = quantities
         return quantities
 
-    def __call__(self, point: FairPricePoint) -> Allocation:
-        column = self._walk()[:, point.q]
+    def split(point: FairPricePoint) -> Allocation:
+        column = walk()[:, point.q]
         used = column.nonzero()[0]
         x = column[used]
         fills = zip(
-            [self._ids[j] for j in used.tolist()],
+            [ids[j] for j in used.tolist()],
             x.tolist(),
-            self._prices[self._offsets[used] + x].tolist(),
+            prices[stocked_offsets[used] + x].tolist(),
         )
         return _build_allocation(fills, point.q, point.price_cents)
+
+    return split
 
 
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -423,9 +407,10 @@ class FairPricePoint:
 
     A point keeps a `source` and calls `source(point)` the first time the
     allocation is read: on an exact curve it reads the split from the
-    curve's `_ExactSplits`, on a greedy curve it is
+    curve's `_exact_splits` walk, on a greedy curve it is
     `greedy_allocation(sellers, q)`.  A fair reads the prices on every join,
-    the allocations only when they are written out.
+    the allocations only when they are written out.  Points compare by
+    identity, so comparing curves builds no allocation.
     """
 
     __slots__ = ("q", "price_cents", "_allocation", "_source")
@@ -443,13 +428,6 @@ class FairPricePoint:
         if self._allocation is None:
             self._allocation = self._source(self)
         return self._allocation
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FairPricePoint):
-            return NotImplemented
-        return (self.q, self.price_cents, self.allocation) == (
-            other.q, other.price_cents, other.allocation
-        )
 
     def __repr__(self) -> str:
         return (
@@ -527,7 +505,7 @@ def fair_price_curve(
             # packed is cost*width + sellers used, so the cost is its quotient;
             # the curve ends before the first demand no split reaches
             costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-            source = _ExactSplits(choices, ordered, prices, offsets, len(costs))
+            source = _exact_splits(choices, ordered, prices, offsets, len(costs))
     elif method == "greedy":
         market = tuple(sellers)
         costs = _greedy_costs(market, q_cap)

@@ -38,9 +38,6 @@ __all__ = [
     "lower_envelope",
 ]
 
-DEFAULT_Q_MAX = 200
-
-
 def _check_quantity(q: int) -> None:
     if isinstance(q, bool):
         raise ValueError(f"quantity must be a positive integer, got {q!r}")
@@ -195,20 +192,14 @@ class Envelope:
     points: tuple[EnvelopePoint, ...]
     segments: tuple[EnvelopeSegment, ...]
 
-    @property
-    def q_max(self) -> int:
-        return self.points[-1].q
-
     def price_at(self, q: int) -> Cents:
         _check_quantity(q)
-        if q > self.q_max:
-            raise ValueError(f"quantity {q} beyond envelope range 1..{self.q_max}")
+        if q > len(self.points):
+            raise ValueError(f"quantity {q} beyond envelope range 1..{len(self.points)}")
         return self.points[q - 1].price_cents
 
 
-def lower_envelope(
-    sellers: Sequence[tuple[str, PriceCurve]], q_max: int = DEFAULT_Q_MAX
-) -> Envelope:
+def lower_envelope(sellers: Sequence[tuple[str, PriceCurve]], q_max: int) -> Envelope:
     """Compute the best single-seller price for every quantity 1..q_max.
 
     The sellers' memoized price tables are scanned in id order, and each

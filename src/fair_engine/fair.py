@@ -463,8 +463,9 @@ def open_fair(
     """Open a running fair with an empty order book, named `fair-<product_id>` by default.
 
     Rejected when no seller can supply the product (empty seller set, or
-    every unit of stock already committed elsewhere), and when `ledger`
-    does not hold every seller.
+    every unit of stock already committed elsewhere), when `ledger` does
+    not hold every seller, and when the deadline `opened_at + max_duration`
+    is not finite.
     """
     cfg = config or FairConfig()
     if not sellers:
@@ -472,11 +473,17 @@ def open_fair(
     supply = total_availability(ledger.effective_sellers(sellers))
     if supply is not None and supply < 1:
         raise ValueError(f"no remaining stock for product {product_id}")
+    deadline = opened_at + cfg.max_duration
+    if not math.isfinite(deadline):
+        raise ValueError(
+            f"product {product_id}: deadline {deadline} (opened at {opened_at} "
+            f"plus max duration {cfg.max_duration}) is not finite"
+        )
     return Fair(
         fair_id=fair_id or f"fair-{product_id}",
         product_id=product_id,
         sellers=tuple(sellers),
         config=cfg,
         opened_at=opened_at,
-        deadline=opened_at + cfg.max_duration,
+        deadline=deadline,
     )

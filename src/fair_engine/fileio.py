@@ -16,13 +16,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from .allocation import Allocation, FairPriceCurve, Seller
 from .curves import Envelope, PriceCurve, _check_quantity, linear_curve, tabular_curve
 from .fair import BuyerHistory, BuyerOrder, FairConfig, PaymentTiming, Settlement, fidelity_score
-from .geo import COORDINATE_NOTE, Position, ShippingPlan
+from .geo import COORDINATE_NOTE, ORIGIN, Position, ShippingPlan
 from .money import cu_str, frac_str, ratio, ratio_str
 from .synth import RNG_ALGORITHM, ExperimentRun, PopulationSpec
 
@@ -101,9 +100,10 @@ def _seller_row(cells: Sequence[str], seen: set[str]) -> Seller:
     else:
         raise ValueError(f"unknown curve form {form!r}")
     availability = _parse_availability(rest[0]) if rest else None
-    position = Position(0.0, 0.0)
-    if len(rest) >= 3 and rest[1] != "" and rest[2] != "":
-        position = Position(float(rest[1]), float(rest[2]))
+    x, y = [*rest[1:3], "", ""][:2]
+    if (x == "") != (y == ""):
+        raise ValueError("position needs both x and y")
+    position = Position(float(x), float(y)) if x else ORIGIN
     return Seller(id=seller_id, curve=curve, availability=availability, position=position)
 
 
@@ -426,6 +426,15 @@ def _order(raw: dict, at: float) -> BuyerOrder:
     )
 
 
+# a scenario's `config` keys, each read by (value, key name)
+_CONFIG_READERS = {
+    "max_duration": _finite,
+    "margin": lambda value, _: ratio(str(value)),
+    "fidelity_discount": lambda value, _: ratio(str(value)),
+    "curve_horizon": _whole,
+}
+
+
 def read_scenario(path: str) -> Scenario:
     """Parse a fair-simulation scenario (JSON).
 
@@ -469,16 +478,12 @@ def read_scenario(path: str) -> Scenario:
             sellers.append(_seller_row([c.strip() for c in cells], seen))
 
         where = "config: "
-        config = FairConfig(
-            max_duration=_finite(
-                cfg.get("max_duration", FairConfig.max_duration), "max_duration"
-            ),
-            margin=ratio(str(cfg.get("margin", "0.05"))),
-            fidelity_discount=ratio(str(cfg.get("fidelity_discount", "0.04"))),
-            curve_horizon=_whole(
-                cfg.get("curve_horizon", FairConfig.curve_horizon), "curve_horizon"
-            ),
-        )
+        fields = {}
+        for key, value in cfg.items():
+            if key not in _CONFIG_READERS:
+                raise ValueError(f"unknown key {key!r}")
+            fields[key] = _CONFIG_READERS[key](value, key)
+        config = FairConfig(**fields)  # a key left out keeps FairConfig's default
 
         events: list[ScenarioEvent] = []
         for i, raw in enumerate(raw_events):
@@ -517,18 +522,14 @@ def read_scenario(path: str) -> Scenario:
 
 # ------------------------------------------------------------ event log
 
-def _json_safe(value):
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, Position):
-        return [value.x, value.y]
-    return value
-
-
 def write_event_log(records: Iterable[dict], fh: TextIO) -> None:
-    """One JSON object per line, keys sorted, values render deterministically."""
+    """One strict JSON object per line, keys sorted.
+
+    Records hold only JSON types: a value of another type raises TypeError,
+    and a NaN or infinite number raises ValueError, as neither is JSON.
+    """
     for record in records:
-        fh.write(json.dumps(record, sort_keys=True, default=_json_safe))
+        fh.write(json.dumps(record, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 

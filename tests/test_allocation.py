@@ -5,6 +5,8 @@ every integer split of the demand; the oracle knows nothing about the DP.
 """
 
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -104,7 +106,7 @@ class TestGreedyAllocation:
     def test_full_saturation(self):
         sellers = two_capped_sellers()
         alloc = greedy_allocation(sellers, 4)
-        assert alloc.quantity_for("A") == 2 and alloc.quantity_for("B") == 2
+        assert [(e.seller_id, e.quantity) for e in alloc.entries] == [("A", 2), ("B", 2)]
 
     def test_infeasible_names_shortfall(self):
         with pytest.raises(InfeasibleDemandError) as err:
@@ -518,6 +520,33 @@ def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng
             assert entry.unit_price_cents == by_id[entry.seller_id].curve.price_at(entry.quantity)
         assert alloc.total_quantity == point.q
         assert alloc.total_cost_cents == point.price_cents * point.q
+
+
+def test_exact_splits_read_first_on_several_threads_are_the_same():
+    # every thread's first read may walk the choices; each sees a whole walk
+    sellers = [Seller(f"S{i}", linear_curve(20 + i, "0.5", 5 + i), availability=3 + i % 4)
+               for i in range(12)]
+    expected = [p.allocation for p in fair_price_curve(sellers, 60).points]
+    curve = fair_price_curve(sellers, 60)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def read(i):
+        barrier.wait(timeout=10)
+        results[i] = [p.allocation for p in curve.points]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
 
 
 @st.composite

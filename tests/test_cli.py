@@ -337,6 +337,16 @@ class TestFairSim:
                      "--out", str(tmp_path / "sim")]) == 2
         assert where in capsys.readouterr().err
 
+    def test_a_deadline_past_the_largest_float_exits_2_naming_the_product(self, tmp_path, capsys):
+        # each time is finite, their sum is not: it used to be written as `Infinity`
+        scenario = base_scenario([{"at": 1e308, "action": "advance"}])
+        scenario["opened_at"] = 1e308
+        scenario["config"]["max_duration"] = 1e308
+        out = tmp_path / "sim"
+        assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 2
+        assert "error: product paper: deadline inf" in capsys.readouterr().err
+        assert not (out / "events.jsonl").exists()
+
     @pytest.mark.parametrize("margin", ["1.0001", "1e4300"])
     def test_margin_above_a_full_markup_exits_2_before_any_output(self, tmp_path, capsys, margin):
         # a 4301-digit margin would fail only when printed, past every check

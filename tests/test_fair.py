@@ -81,6 +81,14 @@ class TestOpenFair:
         )
         assert fair.deadline == 100.0 + 7 * DAY
 
+    def test_rejects_a_deadline_that_is_not_finite(self):
+        seller = flat_seller(10)
+        with pytest.raises(ValueError, match="product paper: deadline inf .* is not finite"):
+            open_fair(
+                "paper", [seller], FairConfig(max_duration=1e308), opened_at=1e308,
+                ledger=SellerLedger([seller]),
+            )
+
     def test_rejects_empty_seller_set(self):
         with pytest.raises(ValueError):
             SoloFair([])

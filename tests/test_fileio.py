@@ -3,11 +3,13 @@
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from fair_engine.allocation import optimal_allocation
 from fair_engine.curves import lower_envelope
+from fair_engine.fair import FairConfig
 from fair_engine.fileio import (
     ExperimentConfig,
     ParseError,
@@ -17,6 +19,7 @@ from fair_engine.fileio import (
     read_experiment_config,
     read_scenario,
     read_sellers_csv,
+    write_event_log,
     write_rows,
     write_shipping_plan,
 )
@@ -79,6 +82,19 @@ class TestSellerCsv:
         with pytest.raises(ParseError):
             parse_seller_rows([["A", "linear", "10", "1", "5", "-3"]])
 
+    @pytest.mark.parametrize(
+        "position", [["7", ""], ["7"], ["", "7"]], ids=["x-only", "x-only-short-row", "y-only"]
+    )
+    def test_rejects_a_half_given_position(self, position):
+        rows = [["A", "linear", "10", "1", "5", "3", *position]]
+        with pytest.raises(ParseError, match=re.escape("x.csv:1: position needs both x and y")):
+            parse_seller_rows(rows, source="x.csv")
+
+    def test_a_position_left_out_is_the_origin(self):
+        for row in (["A", "linear", "10", "1", "5", "3"], ["A", "linear", "10", "1", "5", "3", "", ""]):
+            (seller,) = parse_seller_rows([row])
+            assert (seller.position.x, seller.position.y) == (0.0, 0.0)
+
 
 class TestShippingPlanOutput:
     def test_plan_csv_carries_coordinate_note_and_total(self):
@@ -136,6 +152,16 @@ class TestWriters:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             write_rows(["a"], [[1]], io.StringIO(), fmt="xml")
+
+
+class TestEventLog:
+    @pytest.mark.parametrize(
+        "value, error",
+        [(float("inf"), ValueError), (float("nan"), ValueError), (Fraction(1, 3), TypeError)],
+    )
+    def test_refuses_a_value_that_is_not_json(self, value, error):
+        with pytest.raises(error):
+            write_event_log([{"deadline": value}], io.StringIO())
 
 
 class TestExperimentConfig:
@@ -246,6 +272,12 @@ class TestScenario:
         assert joins[0].order.quantity == 2
         assert joins[1].order.fidelity == 0.5  # from the history block
         assert scenario.events[-1].action == "advance"
+
+    def test_config_keys_left_out_keep_the_fair_config_defaults(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, "config": {"margin": "0.1"}}), encoding="utf-8")
+        config = read_scenario(str(path)).config
+        assert config == FairConfig(margin=Fraction(1, 10))
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -394,6 +426,7 @@ class TestScenario:
              "sellers[0]: saturation price cannot exceed the single-product price"),
             ({"what_if": [0, -3, 2]}, "what_if[0]: demand must be at least 1, got 0"),
             ({"what_if": [2, -3]}, "what_if[1]: demand must be at least 1, got -3"),
+            ({"config": {"margin": "0.05", "x": 1}}, "config: unknown key 'x'"),
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, change, message):

@@ -23,6 +23,10 @@ CASES = {
                        "--out", "{out}/allocation.csv"],
     "allocate_greedy": ["allocate", "{data}/curves.csv", "12", "--method", "greedy",
                         "--out", "{out}/allocation.csv"],
+    "envelope": ["envelope", "{data}/curves.csv", "--q-max", "40",
+                 "--out", "{out}/envelope.csv"],
+    "curve_sellers": ["curve", "{data}/curves.csv", "--q-max", "40",
+                      "--out", "{out}/curve.csv"],
     "curve_fair_exact": ["curve", "{data}/curves.csv", "--fair", "--q-max", "25",
                          "--method", "exact", "--out", "{out}/fair_curve.csv"],
     "curve_fair_greedy": ["curve", "{data}/curves.csv", "--fair", "--q-max", "25",
