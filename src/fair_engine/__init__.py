@@ -16,7 +16,6 @@ from .allocation import (
     OptimalPoint,
     Seller,
     fair_price_curve,
-    fair_unit_price,
     greedy_allocation,
     optimal_allocation,
     optimal_demand,
@@ -56,10 +55,7 @@ from .geo import (
 from .synth import (
     ExperimentRun,
     PopulationSpec,
-    audit_greedy_vs_exact,
     generate_sellers,
-    random_small_instances,
-    raw_parameter_draws,
     run_experiment,
 )
 

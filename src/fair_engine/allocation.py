@@ -47,7 +47,6 @@ __all__ = [
     "FairPriceCurve",
     "OptimalPoint",
     "InfeasibleDemandError",
-    "fair_unit_price",
     "greedy_allocation",
     "optimal_allocation",
     "fair_price_curve",
@@ -146,30 +145,6 @@ def _sellers_by_id(sellers: Sequence[Seller]) -> dict[str, Seller]:
             raise ValueError(f"duplicate seller id {seller.id}")
         by_id[seller.id] = seller
     return by_id
-
-
-def fair_unit_price(allocation: Allocation, sellers: Sequence[Seller]) -> Fraction:
-    """Quantity-weighted mean price of an allocation, validated and exact.
-
-    Each seller's curve is evaluated at the quantity allocated to that
-    seller (volume discounts apply per supplier, not to the whole demand).
-    """
-    if not allocation.entries:
-        raise ValueError("allocation is empty")
-    by_id = _sellers_by_id(sellers)
-    total_q = 0
-    total_cost = 0
-    for entry in allocation.entries:
-        seller = by_id.get(entry.seller_id)
-        if seller is None:
-            raise ValueError(f"allocation references unknown seller {entry.seller_id}")
-        if entry.quantity < 1:
-            raise ValueError(f"allocated quantity for {entry.seller_id} must be >= 1")
-        if seller.availability is not None and entry.quantity > seller.availability:
-            raise InfeasibleDemandError(entry.quantity, seller.availability)
-        total_q += entry.quantity
-        total_cost += entry.quantity * seller.curve.price_at(entry.quantity)
-    return Fraction(total_cost, total_q)
 
 
 def _check_request(sellers: Sequence[Seller], q: int) -> None:
@@ -428,12 +403,6 @@ class FairPricePoint:
         if self._allocation is None:
             self._allocation = self._source(self)
         return self._allocation
-
-    def __repr__(self) -> str:
-        return (
-            f"FairPricePoint(q={self.q!r}, price_cents={self.price_cents!r}, "
-            f"allocation={self.allocation!r})"
-        )
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,6 @@ def cmd_curve(args) -> int:
 
 def cmd_fair_sim(args) -> int:
     scenario = fileio.read_scenario(args.scenario)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     ledger = SellerLedger(scenario.sellers)
     fair = open_fair(
@@ -201,6 +199,8 @@ def cmd_fair_sim(args) -> int:
     record.update({"event": "settle", "at": settlement.settled_at})
     records.append(record)
 
+    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "events.jsonl", "w", encoding="utf-8", newline="") as fh:
         fileio.write_event_log(records, fh)
     header, rows = fileio.settlement_buyer_rows(settlement)
@@ -232,8 +232,6 @@ def cmd_experiment(args) -> int:
         if args.seed < 0:
             raise ValueError(f"--seed must be at least 0, got {args.seed}")
         config = replace(config, seed=args.seed)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     spec = config.population()
     runs = []
@@ -252,6 +250,8 @@ def cmd_experiment(args) -> int:
         for notice in run.notices:
             print(notice, file=sys.stderr)
 
+    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     comments = fileio.experiment_comments(config)
     for run in runs:
         label = fileio.availability_label(run.availability)

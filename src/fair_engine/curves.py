@@ -57,12 +57,8 @@ class PriceCurve:
     def price_at(self, q: int) -> Cents:
         raise NotImplementedError
 
-    def price_table(self, x_max: int) -> list[Cents]:
-        """Unit prices for x = 0..x_max; x = 0 sells nothing and is priced 0."""
-        return self._memo_table(x_max)[: x_max + 1]
-
     def _memo_table(self, x_max: int) -> list[Cents]:
-        """The curve's own table, at least x = 0..x_max: read it, never mutate it.
+        """The curve's own prices for at least x = 0..x_max (x = 0 is priced 0): never mutate it.
 
         A curve is immutable, so it keeps the longest table read so far.
         The memo is swapped in one assignment, so reads on several threads

@@ -99,6 +99,8 @@ def _seller_row(cells: Sequence[str], seen: set[str]) -> Seller:
         rest = cells[4:]
     else:
         raise ValueError(f"unknown curve form {form!r}")
+    if len(rest) > 3:
+        raise ValueError(f"extra cells after y: {rest[3:]}")
     availability = _parse_availability(rest[0]) if rest else None
     x, y = [*rest[1:3], "", ""][:2]
     if (x == "") != (y == ""):

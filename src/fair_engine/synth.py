@@ -26,8 +26,6 @@ from .allocation import (
     OptimalPoint,
     Seller,
     fair_price_curve,
-    greedy_allocation,
-    optimal_allocation,
     optimal_demand,
     total_availability,
 )
@@ -37,12 +35,8 @@ __all__ = [
     "RNG_ALGORITHM",
     "PopulationSpec",
     "ExperimentRun",
-    "GreedyAuditReport",
-    "raw_parameter_draws",
     "generate_sellers",
     "run_experiment",
-    "random_small_instances",
-    "audit_greedy_vs_exact",
 ]
 
 RNG_ALGORITHM = "pcg64"
@@ -80,17 +74,6 @@ def _draw_triple(rng: np.random.Generator):
     rate = rng.lognormal(RATE_LOG_MEAN, RATE_LOG_SD)
     sat = rng.normal(SAT_MEAN, SAT_SD)
     return p1, rate, sat
-
-
-def raw_parameter_draws(spec: PopulationSpec, count: int):
-    """Pre-rejection parameter draws, for distribution checks."""
-    rng = _rng(spec.seed)
-    p1s = np.empty(count)
-    rates = np.empty(count)
-    sats = np.empty(count)
-    for i in range(count):
-        p1s[i], rates[i], sats[i] = _draw_triple(rng)
-    return p1s, rates, sats
 
 
 def _on_grid(value: float, step: str) -> Decimal:
@@ -183,81 +166,4 @@ def run_experiment(
         nonmonotone=not summary_curve.is_monotone_non_increasing(),
         max_greedy_gap=Fraction(num - den, den),
         notices=tuple(notices),
-    )
-
-
-@dataclass(frozen=True)
-class SmallInstance:
-    """A desk-scale allocation problem for oracle comparisons."""
-
-    sellers: tuple[Seller, ...]
-    demand: int
-
-
-def random_small_instances(
-    seed: int,
-    count: int,
-    max_sellers: int = 4,
-    max_availability: int = 6,
-    max_demand: int = 12,
-) -> list[SmallInstance]:
-    """Feasible random instances small enough to brute-force."""
-    rng = _rng(seed)
-    instances: list[SmallInstance] = []
-    while len(instances) < count:
-        n = int(rng.integers(1, max_sellers + 1))
-        sellers = []
-        total = 0
-        for i in range(n):
-            p1_cents = int(rng.integers(200, 15_001))
-            sat_cents = int(rng.integers(1, p1_cents + 1))
-            rate_cents = int(rng.integers(0, 401))
-            availability = int(rng.integers(0, max_availability + 1))
-            total += availability
-            curve = LinearPlateauCurve(
-                p1_cents=p1_cents, rate=Fraction(rate_cents, 100), sat_cents=sat_cents
-            )
-            sellers.append(Seller(id=f"S{i}", curve=curve, availability=availability))
-        if total < 1:
-            continue
-        demand = int(rng.integers(1, min(total, max_demand) + 1))
-        instances.append(SmallInstance(sellers=tuple(sellers), demand=demand))
-    return instances
-
-
-@dataclass(frozen=True)
-class GreedyAuditReport:
-    """How far the greedy fill strays from the exact optimum."""
-
-    instances: int
-    suboptimal_count: int
-    max_relative_gap: Fraction
-
-
-def audit_greedy_vs_exact(instances: list[SmallInstance]) -> GreedyAuditReport:
-    """Compare greedy and exact prices over an instance set.
-
-    The greedy price can never be below the exact optimum; the report
-    counts the strictly suboptimal cases and the worst relative excess.
-    """
-    suboptimal = 0
-    worst = Fraction(0)
-    for inst in instances:
-        exact = optimal_allocation(inst.sellers, inst.demand)
-        greedy = greedy_allocation(inst.sellers, inst.demand)
-        gap = (
-            greedy.fair_unit_price_cents - exact.fair_unit_price_cents
-        ) / exact.fair_unit_price_cents
-        if gap < 0:
-            raise AssertionError(
-                f"greedy beat the exact solver on {inst}: gap {gap}"
-            )
-        if gap > 0:
-            suboptimal += 1
-        if gap > worst:
-            worst = gap
-    return GreedyAuditReport(
-        instances=len(instances),
-        suboptimal_count=suboptimal,
-        max_relative_gap=worst,
     )

@@ -6,6 +6,7 @@ implementation.
 """
 
 import itertools
+from fractions import Fraction
 
 
 def brute_force_min_cost(sellers, q):
@@ -21,6 +22,25 @@ def brute_force_min_cost(sellers, q):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def repriced(allocation, sellers):
+    """An allocation's fair unit price, recomputed from the sellers' own curves.
+
+    Sums x * price_at(x) over the entries and divides by the demand q.
+    Each entry must name a known seller with x in 1..stock, and the
+    quantities must cover q.
+    """
+    by_id = {s.id: s for s in sellers}
+    q = allocation.total_quantity
+    assert sum(e.quantity for e in allocation.entries) == q
+    cost = 0
+    for entry in allocation.entries:
+        assert entry.seller_id in by_id, f"unknown seller {entry.seller_id}"
+        seller, x = by_id[entry.seller_id], entry.quantity
+        assert 1 <= x <= seller.capacity(x), f"{seller.id}: {x} units outside 1..stock"
+        cost += x * seller.curve.price_at(x)
+    return Fraction(cost, q)
 
 
 def first_minimum(prices):

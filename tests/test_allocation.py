@@ -14,7 +14,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_min_cost, scan_allocation, scan_dp_tables
+from fixtures import random_small_instances
+from oracles import brute_force_min_cost, repriced, scan_allocation, scan_dp_tables
 
 from fair_engine import allocation as allocation_mod
 from fair_engine.allocation import (
@@ -25,14 +26,12 @@ from fair_engine.allocation import (
     InfeasibleDemandError,
     Seller,
     fair_price_curve,
-    fair_unit_price,
     greedy_allocation,
     optimal_allocation,
     optimal_demand,
     total_availability,
 )
 from fair_engine.curves import LinearPlateauCurve, TabularCurve, linear_curve, lower_envelope
-from fair_engine.synth import random_small_instances
 
 
 def two_capped_sellers():
@@ -46,48 +45,12 @@ class TestFairUnitPrice:
         # A supplies 2 units at 9 CU, B supplies 1 at 12 CU -> (18+12)/3 = 10
         sellers = two_capped_sellers()
         alloc = optimal_allocation(sellers, 3)
-        assert fair_unit_price(alloc, sellers) == Fraction(1000)
+        assert alloc.fair_unit_price_cents == repriced(alloc, sellers) == Fraction(1000)
 
     def test_single_seller_degenerates_to_curve_price(self):
         seller = Seller("A", linear_curve(20, 2, 10), availability=50)
         alloc = optimal_allocation([seller], 4)
-        assert fair_unit_price(alloc, [seller]) == seller.curve.price_at(4)
-
-    def test_identical_prices_are_split_invariant(self):
-        flat = linear_curve(7, 0, 7)
-        sellers = [Seller(s, flat, availability=10) for s in "ABC"]
-        for quantities in [(3, 3, 3), (9, 0, 0), (1, 4, 4)]:
-            entries = tuple(
-                AllocationEntry(seller_id=s.id, quantity=x, unit_price_cents=700)
-                for s, x in zip(sellers, quantities)
-                if x
-            )
-            alloc = Allocation(
-                entries=entries,
-                total_quantity=9,
-                total_cost_cents=6300,
-                fair_unit_price_cents=Fraction(700),
-            )
-            assert fair_unit_price(alloc, sellers) == Fraction(700)
-
-    def test_rejects_empty_allocation(self):
-        empty = Allocation(
-            entries=(), total_quantity=0, total_cost_cents=0,
-            fair_unit_price_cents=Fraction(0),
-        )
-        with pytest.raises(ValueError):
-            fair_unit_price(empty, two_capped_sellers())
-
-    def test_rejects_over_availability(self):
-        sellers = two_capped_sellers()
-        alloc = Allocation(
-            entries=(AllocationEntry("A", 3, 800),),
-            total_quantity=3,
-            total_cost_cents=2400,
-            fair_unit_price_cents=Fraction(800),
-        )
-        with pytest.raises(InfeasibleDemandError):
-            fair_unit_price(alloc, sellers)
+        assert alloc.fair_unit_price_cents == repriced(alloc, [seller]) == seller.curve.price_at(4)
 
 
 class TestGreedyAllocation:
@@ -470,7 +433,7 @@ def test_curve_price_is_plain_cost_over_quantity(market):
             alloc = point.allocation
             assert alloc.total_quantity == point.q
             assert point.price_cents == alloc.fair_unit_price_cents
-            assert point.price_cents == fair_unit_price(alloc, sellers)
+            assert point.price_cents == repriced(alloc, sellers)
             if method == "exact":
                 assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)
 
@@ -608,3 +571,68 @@ def test_unlimited_costs_beyond_int64_stay_exact():
         assert point.allocation == expected
     with pytest.raises(ValueError, match="cost scale too large for the exact solver"):
         fair_price_curve(sellers, 160)
+
+
+@st.composite
+def tabular_sellers(draw, seller_id):
+    """A step-curve seller: no stock limit one time in five, else 0-40 units."""
+    cuts = draw(st.lists(st.integers(2, 300), max_size=3, unique=True))
+    prices = draw(st.lists(st.integers(1, 5000), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1, unique=True))
+    curve = TabularCurve(tuple(zip([1] + sorted(cuts), sorted(prices, reverse=True))))
+    stock = None if draw(st.integers(0, 4)) == 0 else draw(st.integers(0, 40))
+    return Seller(seller_id, curve, availability=stock)
+
+
+@st.composite
+def tabular_markets(draw):
+    """Up to 40 tabular sellers and a demand horizon <= 300."""
+    n = draw(st.integers(1, 40))
+    sellers = [draw(tabular_sellers(f"S{i:02d}")) for i in range(n)]
+    return sellers, draw(st.integers(1, 300))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets(), tabular_sellers("X"))
+def test_adding_a_seller_never_raises_an_exact_price_nor_shortens_the_curve(market, extra):
+    sellers, q_max = market
+    before = fair_price_curve(sellers, q_max).points
+    after = fair_price_curve([*sellers, extra], q_max).points
+    assert len(after) >= len(before)
+    for pb, pa in zip(before, after):
+        assert pa.price_cents <= pb.price_cents
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets(), st.randoms(use_true_random=False))
+def test_shuffling_the_sellers_keeps_every_split(market, rng):
+    sellers, q_max = market
+    shuffled = list(sellers)
+    rng.shuffle(shuffled)
+    for method in ("exact", "greedy"):
+        curves = [fair_price_curve(s, q_max, method=method).points for s in (sellers, shuffled)]
+        assert [(p.price_cents, p.allocation) for p in curves[0]] == [
+            (p.price_cents, p.allocation) for p in curves[1]
+        ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets())
+def test_exact_is_never_above_greedy_at_any_demand(market):
+    sellers, q_max = market
+    exact = fair_price_curve(sellers, q_max).points
+    greedy = fair_price_curve(sellers, q_max, method="greedy").points
+    assert len(exact) == len(greedy)
+    for pe, pg in zip(exact, greedy):
+        assert pe.price_cents <= pg.price_cents
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets())
+def test_every_exact_split_reprices_to_its_point(market):
+    sellers, q_max = market
+    for point in fair_price_curve(sellers, q_max).points:
+        alloc = point.allocation
+        assert alloc.total_quantity == point.q
+        assert repriced(alloc, sellers) == point.price_cents
+        assert alloc.total_cost_cents == point.q * point.price_cents

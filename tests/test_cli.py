@@ -54,9 +54,14 @@ class TestEnvelope:
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("A,linear,100,5,70\nB,linear,oops,1,2\n", encoding="utf-8")
-        assert main(["envelope", str(path)]) == 2
-        assert ":2:" in capsys.readouterr().err
+        for row, message in [
+            ("B,linear,oops,1,2", ":2:"),
+            ("B,linear,10,1,5,3,7,8,junk", ":2: extra cells after y: ['junk']"),
+            ("B,tabular,1|10,4|3,9,0,7,,", ":2: extra cells after y: ['', '']"),
+        ]:
+            path.write_text(f"A,linear,100,5,70\n{row}\n", encoding="utf-8")
+            assert main(["envelope", str(path)]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestAllocate:
@@ -270,6 +275,15 @@ class TestFairSim:
             "(short by 2)\n"
         )
 
+    def test_a_refused_join_makes_no_output_directory(self, tmp_path):
+        scenario = base_scenario(
+            [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 6, "max_wait": 500}]
+        )
+        scenario["sellers"][1]["availability"] = 0
+        out = tmp_path / "sim"
+        assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_join_over_the_dp_budget_names_the_event_and_the_buyer(self, tmp_path, capsys):
         # B has no stock limit, so a join of 10^8 units passes the stock check
         # and is refused by the exact solver's cell budget
@@ -345,7 +359,7 @@ class TestFairSim:
         out = tmp_path / "sim"
         assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 2
         assert "error: product paper: deadline inf" in capsys.readouterr().err
-        assert not (out / "events.jsonl").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("margin", ["1.0001", "1e4300"])
     def test_margin_above_a_full_markup_exits_2_before_any_output(self, tmp_path, capsys, margin):
@@ -490,6 +504,15 @@ class TestExperiment:
         out = tmp_path / "runs"
         assert main(["experiment", str(cfg), "--out", str(out)]) == 2
         assert "availabilities: 'inf' repeats an earlier entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_entry_failing_makes_no_output_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_sellers = 4\nseed = 1\navailabilities = -1\nq_max = 8\n",
+                       encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+        assert "every availability entry failed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_partial_availability_list_still_processes(self, tmp_path, capsys):
