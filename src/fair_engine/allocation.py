@@ -16,21 +16,24 @@ which is what the fair-level price curve needs.
 
 A fair price curve of either method reads each seller's curve as an
 integer price table, which the curve memoizes, and prices every demand from
-one sweep over those tables: the DP for the exact method, or, when no
-seller has a stock limit, the lower envelope (`lower_envelope`), and a
-blocked rank-and-fill for the greedy one.  Points rebuild their
-allocations only when read: an exact DP curve walks its choice arrays back
-once for every demand and prices each split from the tables the sweep read;
-a greedy point calls `greedy_allocation`, which stays the reference for a
-single greedy demand.
+one sweep over those tables: the lower envelope (`lower_envelope`) for
+both methods when no seller has a stock limit, and otherwise the DP for
+the exact method and a blocked rank-and-fill for the greedy one.  Points
+rebuild their allocations only when read: an exact DP curve walks its
+choice arrays back once for every demand and prices each split from the
+tables the sweep read; a greedy point calls `greedy_allocation`, which
+stays the reference for a single greedy demand.  A curve's `summaries()`
+gives every point's split as text, with no `Allocation` built on an exact
+or envelope curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, takewhile
+from itertools import chain, groupby, islice, takewhile
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -118,7 +121,12 @@ class Allocation:
     fair_unit_price_cents: Fraction
 
     def summary(self) -> str:
-        return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
+        return _summary((e.seller_id, e.quantity) for e in self.entries)
+
+
+def _summary(fills: Iterable[tuple[str, int]]) -> str:
+    """The `id:qty+id:qty` text of a split, (seller id, quantity) in id order."""
+    return "+".join(f"{seller_id}:{quantity}" for seller_id, quantity in fills)
 
 
 def _build_allocation(
@@ -325,15 +333,16 @@ def _exact_splits(
     prices: np.ndarray,
     offsets: np.ndarray,
     n: int,
-) -> Callable[[FairPricePoint], Allocation]:
-    """The point source of one exact curve: every split from one backward pass.
+) -> tuple[Callable[[FairPricePoint], Allocation], Callable[[], list[str]]]:
+    """The point source and the summaries of one exact curve, from one backward pass.
 
     The first read walks the choice arrays of the sellers with stock once
     for all demands 0..n together, sellers in reverse id order, each step
     one gather x = choice[remaining] and remaining -= x.  The walk is
     memoized as a (sellers, n + 1) int32 matrix, one column per demand.  A
     point's split is its column's nonzero entries, in id order, priced from
-    the tables the DP sweep read.
+    the tables the DP sweep read; the summaries take every column's nonzero
+    entries in one pass, demand by demand, and build no `Allocation`.
     """
     stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
     stocked_choices = [choices[i] for i in stocked]
@@ -361,7 +370,15 @@ def _exact_splits(
         )
         return _build_allocation(fills, point.q, point.price_cents)
 
-    return split
+    def summaries() -> list[str]:
+        by_demand = walk()[:, 1:].T  # row q - 1 holds demand q's split
+        demand, used = by_demand.nonzero()  # demand-major, ids ascending within a demand
+        quantities = by_demand[demand, used].tolist()
+        fills = zip(demand.tolist(), [ids[j] for j in used.tolist()], quantities)
+        # every demand 1..n has a split, so each is one group, in order
+        return [_summary(f[1:] for f in group) for _, group in groupby(fills, itemgetter(0))]
+
+    return split, summaries
 
 
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -381,8 +398,9 @@ class FairPricePoint:
     """One demand on a fair price curve: its unit price and the allocation behind it.
 
     A point keeps a `source` and calls `source(point)` the first time the
-    allocation is read: on an exact curve it reads the split from the
-    curve's `_exact_splits` walk, on a greedy curve it is
+    allocation is read: on an exact DP curve it reads the split from the
+    curve's `_exact_splits` walk, on an envelope curve it takes the
+    envelope's seller, on a greedy curve it is
     `greedy_allocation(sellers, q)`.  A fair reads the prices on every join,
     the allocations only when they are written out.  Points compare by
     identity, so comparing curves builds no allocation.
@@ -417,6 +435,18 @@ class FairPriceCurve:
 
     points: tuple[FairPricePoint, ...]
     q_feasible_max: int | None
+    _summaries: Callable[[], list[str]] | None = field(default=None, compare=False, repr=False)
+
+    def summaries(self) -> list[str]:
+        """Every point's `Allocation.summary()` text in demand order, in one pass.
+
+        An exact DP curve reads its walked splits and an envelope curve its
+        one seller per demand, so neither builds an `Allocation`; any other
+        curve reads each point's allocation.
+        """
+        if self._summaries is None:
+            return [point.allocation.summary() for point in self.points]
+        return self._summaries()
 
     def price_at(self, q: int) -> Fraction:
         _check_quantity(q)
@@ -439,10 +469,11 @@ def fair_price_curve(
     """Sweep demands 1..q_max and record the price and allocation per demand.
 
     Each method prices every demand from one sweep over the sellers' price
-    tables: the DP for the exact method, or `lower_envelope` when no seller
-    has a stock limit, and `_greedy_costs` for the greedy one.  Each
-    point's allocation is rebuilt when it is first read: the first read on
-    an exact DP curve walks the choices back for every demand at once.
+    tables.  When no seller has a stock limit both methods read
+    `lower_envelope`; otherwise the exact method runs the DP and the greedy
+    one `_greedy_costs`.  Each point's allocation is rebuilt when it is
+    first read: the first read on an exact DP curve walks the choices back
+    for every demand at once.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -456,34 +487,37 @@ def fair_price_curve(
 
     costs: list[Cents] = []
     source: Callable[[FairPricePoint], Allocation] | None = None
+    summaries: Callable[[], list[str]] | None = None
     if method == "exact" and q_cap >= 1:
         _check_exact_scale(sellers, q_cap)
-        if all(s.availability is None for s in sellers):
-            # Without stock limits one seller always suffices: prices are
-            # non-increasing, so a*pA(a) + b*pB(b) >= (a+b)*min(pA(a+b),
-            # pB(a+b)), and a split uses more sellers.  Among the cheapest,
-            # the DP's tie-break and the envelope both pick the lowest id.
-            best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
-            costs = [p.q * p.price_cents for p in best]
-            source = lambda point: _build_allocation(
-                [(best[point.q - 1].seller_id, point.q, best[point.q - 1].price_cents)],
-                point.q, point.price_cents,
-            )
-        else:
-            key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
-            # packed is cost*width + sellers used, so the cost is its quotient;
-            # the curve ends before the first demand no split reaches
-            costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-            source = _exact_splits(choices, ordered, prices, offsets, len(costs))
+    if all(s.availability is None for s in sellers):
+        # Without stock limits one seller always suffices: prices are
+        # non-increasing, so a*pA(a) + b*pB(b) >= (a+b)*min(pA(a+b),
+        # pB(a+b)), and a split uses more sellers.  Among the cheapest,
+        # the DP's tie-break and the envelope both pick the lowest id, and
+        # the greedy fill takes every unit from that same seller.
+        best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
+        costs = [p.q * p.price_cents for p in best]
+        source = lambda point: _build_allocation(
+            [(best[point.q - 1].seller_id, point.q, best[point.q - 1].price_cents)],
+            point.q, point.price_cents,
+        )
+        summaries = lambda: [_summary([(p.seller_id, p.q)]) for p in best]
     elif method == "greedy":
         market = tuple(sellers)
         costs = _greedy_costs(market, q_cap)
         source = lambda point: greedy_allocation(market, point.q)
+    elif q_cap >= 1:
+        key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
+        # packed is cost*width + sellers used, so the cost is its quotient;
+        # the curve ends before the first demand no split reaches
+        costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
+        source, summaries = _exact_splits(choices, ordered, prices, offsets, len(costs))
     points = tuple(
         FairPricePoint(q, Fraction(cost, q), source=source)
         for q, cost in enumerate(costs, start=1)
     )
-    return FairPriceCurve(points=points, q_feasible_max=feasible_max)
+    return FairPriceCurve(points=points, q_feasible_max=feasible_max, _summaries=summaries)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import fileio
@@ -26,7 +27,7 @@ from .fair import FairStatus, LifecycleError, SellerLedger, open_fair
 from .fileio import ParseError
 from .geo import shipping_plan
 from .money import frac_str
-from .synth import run_experiment
+from .synth import generate_sellers, run_experiment
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,6 +40,7 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@cache  # one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fair-engine",
@@ -131,9 +133,13 @@ def cmd_curve(args) -> int:
     sellers = fileio.read_sellers_csv(args.curves)
     if args.fair:
         curve = fair_price_curve(sellers, args.q_max, method=args.method)
+        if not curve.points:
+            raise ValueError(
+                f"{args.curves}: no seller has stock, so the fair price curve is empty"
+            )
+        best = optimal_demand(curve)
         header, rows = fileio.fair_curve_rows(curve)
         _emit(args, header, rows)
-        best = optimal_demand(curve)
         print(f"optimal q*={best.q_star} z*={frac_str(best.z_star_cents)}")
     else:
         header, rows = fileio.curve_sweep_rows(sellers, args.q_max)
@@ -233,12 +239,12 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"--seed must be at least 0, got {args.seed}")
         config = replace(config, seed=args.seed)
 
-    spec = config.population()
+    population = generate_sellers(config.population())
     runs = []
     for availability in config.availabilities:
         # failures are per entry: the rest of the list still runs
         try:
-            runs.append(run_experiment(spec, availability, config.q_max, config.method))
+            runs.append(run_experiment(population, availability, config.q_max, config.method))
         except (ValueError, InfeasibleDemandError) as exc:
             label = fileio.availability_label(availability)
             print(f"availability={label} failed: {exc}", file=sys.stderr)
@@ -273,8 +279,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         return command(args)

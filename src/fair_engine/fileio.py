@@ -158,7 +158,7 @@ def allocation_rows(allocation: Allocation) -> tuple[list[str], list[Row]]:
 def fair_curve_rows(curve: FairPriceCurve) -> tuple[list[str], list[Row]]:
     header = ["q", "z", "alloc_summary"]
     rows = [
-        [p.q, frac_str(p.price_cents), p.allocation.summary()] for p in curve.points
+        [p.q, frac_str(p.price_cents), text] for p, text in zip(curve.points, curve.summaries())
     ]
     return header, rows
 
@@ -182,18 +182,12 @@ def availability_label(availability: int | None) -> str:
 
 def experiment_curve_rows(run: ExperimentRun) -> tuple[list[str], list[Row]]:
     header = ["availability", "q", "z_exact", "z_greedy", "best_allocation"]
-    rows = []
     avail = availability_label(run.availability)
-    for pe, pg in zip(run.curve_exact.points, run.curve_greedy.points):
-        rows.append(
-            [
-                avail,
-                pe.q,
-                frac_str(pe.price_cents),
-                frac_str(pg.price_cents),
-                pe.allocation.summary(),
-            ]
-        )
+    exact, greedy = run.curve_exact, run.curve_greedy
+    rows = [
+        [avail, pe.q, frac_str(pe.price_cents), frac_str(pg.price_cents), text]
+        for pe, pg, text in zip(exact.points, greedy.points, exact.summaries())
+    ]
     return header, rows
 
 

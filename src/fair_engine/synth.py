@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -121,24 +122,29 @@ class ExperimentRun:
 
 
 def run_experiment(
-    spec: PopulationSpec,
+    population: Sequence[Seller],
     availability: int | None,
     q_max: int,
     method: str = "exact",
 ) -> ExperimentRun:
-    """Fair price curves of the spec's population at one per-seller stock.
+    """Fair price curves of one population at one per-seller stock.
 
-    One seed yields one population, so runs at different availabilities
-    compare the same sellers.  The run records both solver curves, the
-    optimal point of the `method` curve, whether that curve is non-monotone,
-    and the largest relative price excess of greedy over exact.  A demand
-    range larger than the total stock is truncated with a notice.
+    Each run gives the population's sellers the same stock and keeps their
+    curve objects, so runs at different availabilities compare the same
+    sellers and read each curve's memoized price table.  The run records
+    both solver curves, the optimal point of the `method` curve, whether
+    that curve is non-monotone, and the largest relative price excess of
+    greedy over exact.  Without a stock limit the greedy fill takes the
+    envelope's seller, so the exact curve serves as the greedy one.  A
+    demand range larger than the total stock is truncated with a notice.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    sellers = generate_sellers(replace(spec, availability=availability))
+    if availability is not None and availability < 0:
+        raise ValueError("availability must be >= 0")
+    sellers = [replace(s, availability=availability) for s in population]
     notices = []
     feasible = total_availability(sellers)
     if feasible is not None and feasible < q_max:
@@ -147,7 +153,7 @@ def run_experiment(
             f"q<={feasible} (total stock)"
         )
     exact = fair_price_curve(sellers, q_max, method="exact")
-    greedy = fair_price_curve(sellers, q_max, method="greedy")
+    greedy = exact if availability is None else fair_price_curve(sellers, q_max, method="greedy")
     summary_curve = exact if method == "exact" else greedy
     optimal = optimal_demand(summary_curve)
     # the gap is pg/pe - 1: keep the largest ratio as integers num/den,

@@ -8,7 +8,9 @@ import random
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,6 +34,9 @@ from fair_engine.allocation import (
     total_availability,
 )
 from fair_engine.curves import LinearPlateauCurve, TabularCurve, linear_curve, lower_envelope
+from fair_engine.fileio import read_sellers_csv
+
+GOLDEN_CURVES = Path(__file__).parent / "data" / "golden" / "curves.csv"
 
 
 def two_capped_sellers():
@@ -557,6 +562,21 @@ def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
         fair_price_curve(mixed, 20)
 
 
+def test_an_unlimited_market_prices_both_methods_from_one_envelope(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the greedy sweep ran")
+
+    monkeypatch.setattr(allocation_mod, "_greedy_costs", no_sweep)
+    unlimited = [Seller("B", linear_curve(9, "0.5", 6)), Seller("A", linear_curve(8, 0, 8))]
+    exact, greedy = (fair_price_curve(unlimited, 20, method=m) for m in ("exact", "greedy"))
+    assert [p.price_cents for p in greedy.points] == [p.price_cents for p in exact.points]
+    assert greedy.summaries() == exact.summaries()
+    assert exact.summaries()[::19] == ["A:1", "B:20"]
+    with pytest.raises(AssertionError, match="the greedy sweep ran"):
+        fair_price_curve([*unlimited, Seller("C", linear_curve(5, 0, 5), availability=3)], 20,
+                         method="greedy")
+
+
 def test_unlimited_costs_beyond_int64_stay_exact():
     # sum(q * price(1)) is about 3.2e21, over 2**63: the greedy sweep takes
     # Python ints, and the exact curve refuses the cost scale as the DP did
@@ -636,3 +656,76 @@ def test_every_exact_split_reprices_to_its_point(market):
         assert alloc.total_quantity == point.q
         assert repriced(alloc, sellers) == point.price_cents
         assert alloc.total_cost_cents == point.q * point.price_cents
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets(), st.data())
+def test_raising_one_sellers_stock_never_raises_an_exact_price_nor_shortens_the_curve(
+    market, data
+):
+    sellers, q_max = market
+    i = data.draw(st.integers(0, len(sellers) - 1))
+    stock = sellers[i].availability
+    if stock is not None:  # more units, or no limit at all
+        stock = data.draw(st.one_of(st.none(), st.integers(stock + 1, stock + 40)))
+    raised = [*sellers[:i], replace(sellers[i], availability=stock), *sellers[i + 1:]]
+    before = fair_price_curve(sellers, q_max).points
+    after = fair_price_curve(raised, q_max).points
+    assert len(after) >= len(before)
+    for pb, pa in zip(before, after):
+        assert pa.price_cents <= pb.price_cents
+
+
+@settings(max_examples=15, deadline=None)
+@given(tabular_markets(), st.integers(2, 1000))
+def test_scaling_every_price_scales_every_exact_cost_and_keeps_every_split(market, k):
+    sellers, q_max = market
+    scaled = [
+        replace(s, curve=TabularCurve(tuple((t, k * p) for t, p in s.curve.bands)))
+        for s in sellers
+    ]
+    base, big = fair_price_curve(sellers, q_max), fair_price_curve(scaled, q_max)
+    assert len(big.points) == len(base.points)
+    for pb, pk in zip(base.points, big.points):
+        assert pk.price_cents * pk.q == k * pb.price_cents * pb.q
+        assert [(e.seller_id, e.quantity) for e in pk.allocation.entries] == [
+            (e.seller_id, e.quantity) for e in pb.allocation.entries
+        ]
+    assert big.summaries() == base.summaries()
+
+
+def summaries_are_the_allocation_summaries(sellers, q_max):
+    """Each method's `summaries()`, read first on a fresh curve, equals the points' own."""
+    for method in ("exact", "greedy"):
+        curve = fair_price_curve(sellers, q_max, method=method)
+        texts = curve.summaries()
+        assert texts == [point.allocation.summary() for point in curve.points]
+
+
+@pytest.mark.parametrize("unlimited", [False, True])
+def test_summaries_of_the_golden_market(unlimited):
+    # as written, the exact curve runs the DP; with no stock limit, both
+    # methods read the envelope
+    sellers = read_sellers_csv(str(GOLDEN_CURVES))
+    if unlimited:
+        sellers = [replace(s, availability=None) for s in sellers]
+    for q_max in (1, 25, 40):
+        summaries_are_the_allocation_summaries(sellers, q_max)
+
+
+@settings(deadline=None)
+@given(small_markets(unlimited=True))
+def test_summaries_of_small_markets(market):
+    summaries_are_the_allocation_summaries(*market)
+
+
+@pytest.mark.parametrize("unlimited", [False, True])
+def test_summaries_of_a_40_seller_tabular_market(unlimited):
+    rng = random.Random(40)
+    sellers = []
+    for i in range(40):
+        cuts = sorted(rng.sample(range(2, 300), 3))
+        prices = sorted(rng.sample(range(1, 5000), 4), reverse=True)
+        stock = None if unlimited or rng.random() < 0.2 else rng.randint(0, 40)
+        sellers.append(Seller(f"S{i:02d}", TabularCurve(tuple(zip([1, *cuts], prices))), stock))
+    summaries_are_the_allocation_summaries(sellers, 300)

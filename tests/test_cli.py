@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fair_engine import allocation, cli, synth
 from fair_engine.cli import main
 from fair_engine.curves import LinearPlateauCurve
 
@@ -148,6 +149,22 @@ class TestCurve:
         assert lines[0] == "q,z,alloc_summary"
         assert lines[3] == "3,10.0000,A:2+B:1"
         assert "optimal q*=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_fair_curve_without_stock_exits_2_naming_the_file_and_writes_nothing(
+        self, tmp_path, capsys, method
+    ):
+        path = tmp_path / "zero.csv"
+        path.write_text("A,linear,10,1,8,0\nB,linear,12,1,9,0\n", encoding="utf-8")
+        out = tmp_path / "fc.csv"
+        argv = ["curve", str(path), "--fair", "--q-max", "5", "--method", method]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: no seller has stock, so the fair price curve is empty\n"
+        )
+        assert not out.exists()
 
     def test_json_format(self, ab_file, tmp_path):
         out = tmp_path / "sweep.json"
@@ -447,6 +464,24 @@ class TestExperiment:
         ]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_draw_and_no_allocation_per_command(self, tmp_path, monkeypatch):
+        # the summaries come from the curves' splits, and every availability
+        # entry reads the one population the command drew
+        built, drawn = [], []
+        build, draw = allocation._build_allocation, synth.generate_sellers
+        monkeypatch.setattr(
+            allocation, "_build_allocation", lambda *args: built.append(1) or build(*args)
+        )
+        counted = lambda spec: drawn.append(spec) or draw(spec)
+        monkeypatch.setattr(synth, "generate_sellers", counted)
+        monkeypatch.setattr(cli, "generate_sellers", counted)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("3, unlimited", "3, unlimited, 0, 10"),
+                       encoding="utf-8")
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+        assert built == []
+        assert len(drawn) == 1
 
     def test_truncation_notice_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

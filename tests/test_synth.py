@@ -85,7 +85,7 @@ class TestRawDraws:
 class TestRunExperiment:
     def test_unlimited_availability_reproduces_the_envelope(self):
         spec = PopulationSpec(n_sellers=20, seed=7)
-        run = run_experiment(spec, None, q_max=60)
+        run = run_experiment(generate_sellers(spec), None, q_max=60)
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], 60)
         for point in run.curve_exact.points:
@@ -94,16 +94,30 @@ class TestRunExperiment:
 
     def test_same_population_across_availabilities(self):
         spec = PopulationSpec(n_sellers=10, seed=11)
-        runs = [run_experiment(spec, a, q_max=30) for a in (5, 20, None)]
+        runs = [run_experiment(generate_sellers(spec), a, q_max=30) for a in (5, 20, None)]
         curves = [
             {e.seller_id: e.unit_price_cents for e in run.curve_exact.points[0].allocation.entries}
             for run in runs
         ]
         assert curves[0] == curves[1] == curves[2]
 
+    def test_every_availability_reads_the_population_curves(self):
+        # runs set the stock on the population's sellers and keep their curve
+        # objects, so every run reads the same memoized price tables
+        population = generate_sellers(PopulationSpec(n_sellers=6, seed=11))
+        for availability in (3, None):
+            run = run_experiment(population, availability, q_max=12)
+            split = run.curve_exact.points[-1].allocation
+            by_id = {s.id: s.curve for s in population}
+            for entry in split.entries:
+                assert entry.unit_price_cents == by_id[entry.seller_id].price_at(entry.quantity)
+        assert all(s.availability is None for s in population)
+        assert all(len(s.curve._table) == 13 for s in population)
+
     def test_larger_availability_never_raises_the_curve(self):
         spec = PopulationSpec(n_sellers=10, seed=13)
-        small, mid, large = (run_experiment(spec, a, q_max=40) for a in (4, 8, 16))
+        population = generate_sellers(spec)
+        small, mid, large = (run_experiment(population, a, q_max=40) for a in (4, 8, 16))
         for a, b in ((small, mid), (mid, large)):
             for pa, pb in zip(a.curve_exact.points, b.curve_exact.points):
                 assert pb.price_cents <= pa.price_cents
@@ -113,7 +127,7 @@ class TestRunExperiment:
         # price is the envelope price
         spec = PopulationSpec(n_sellers=8, seed=17)
         q_stock = 9
-        run = run_experiment(spec, q_stock, q_max=q_stock)
+        run = run_experiment(generate_sellers(spec), q_stock, q_max=q_stock)
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], q_stock)
         for point in run.curve_exact.points:
@@ -123,26 +137,27 @@ class TestRunExperiment:
         # with homogeneous stock Q the demand q=Q is always a global minimum
         spec = PopulationSpec(n_sellers=12, seed=19)
         for q_stock in (3, 7, 15):
-            run = run_experiment(spec, q_stock, q_max=80)
+            run = run_experiment(generate_sellers(spec), q_stock, q_max=80)
             z_at_stock = run.curve_exact.price_at(q_stock)
             assert run.optimal.z_star_cents == z_at_stock
             assert run.optimal.q_star <= q_stock
 
     def test_truncation_produces_a_notice(self):
         spec = PopulationSpec(n_sellers=3, seed=23)
-        run = run_experiment(spec, 2, q_max=50)
+        run = run_experiment(generate_sellers(spec), 2, q_max=50)
         assert run.notices and "truncated" in run.notices[0]
         assert run.curve_exact.points[-1].q == 6
 
     def test_greedy_gap_is_non_negative(self):
         spec = PopulationSpec(n_sellers=10, seed=29)
         for availability in (4, None):
-            run = run_experiment(spec, availability, q_max=30)
+            run = run_experiment(generate_sellers(spec), availability, q_max=30)
             assert run.max_greedy_gap >= 0
 
     @pytest.mark.parametrize("availability", [1, 10, None])
     def test_greedy_gap_is_the_largest_relative_excess(self, availability):
-        run = run_experiment(PopulationSpec(n_sellers=12, seed=31), availability, q_max=40)
+        population = generate_sellers(PopulationSpec(n_sellers=12, seed=31))
+        run = run_experiment(population, availability, q_max=40)
         expected = max(
             (g.price_cents - e.price_cents) / e.price_cents
             for e, g in zip(run.curve_exact.points, run.curve_greedy.points)
@@ -157,9 +172,11 @@ class TestRunExperiment:
     def test_rejects_bad_arguments(self):
         spec = PopulationSpec(n_sellers=3, seed=1)
         with pytest.raises(ValueError):
-            run_experiment(spec, None, q_max=0)
+            run_experiment(generate_sellers(spec), None, q_max=0)
         with pytest.raises(ValueError):
-            run_experiment(spec, None, q_max=5, method="magic")
+            run_experiment(generate_sellers(spec), None, q_max=5, method="magic")
+        with pytest.raises(ValueError, match="^availability must be >= 0$"):
+            run_experiment(generate_sellers(spec), -1, q_max=5)
 
 
 class TestAudit:
