@@ -18,13 +18,13 @@ A fair price curve of either method reads each seller's curve as an
 integer price table, which the curve memoizes, and prices every demand from
 one sweep over those tables: the lower envelope (`lower_envelope`) for
 both methods when no seller has a stock limit, and otherwise the DP for
-the exact method and a blocked rank-and-fill for the greedy one.  Points
-rebuild their allocations only when read: an exact DP curve walks its
-choice arrays back once for every demand and prices each split from the
-tables the sweep read; a greedy point calls `greedy_allocation`, which
-stays the reference for a single greedy demand.  A curve's `summaries()`
-gives every point's split as text, with no `Allocation` built on an exact
-or envelope curve.
+the exact method and a blocked rank-and-fill for the greedy one.  A
+point holds a demand's integer total cost and unit price; the curve reads
+a split from its one source: an exact DP curve walks its choice arrays
+back once for every demand, an envelope curve takes the envelope's
+seller, and a greedy curve calls `greedy_allocation`, the reference for a
+single greedy demand.  A curve's `summaries()` gives every point's split
+as text, with no `Allocation` built on an exact or envelope curve.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, groupby, islice, takewhile
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,19 +130,19 @@ def _summary(fills: Iterable[tuple[str, int]]) -> str:
 
 
 def _build_allocation(
-    fills: Iterable[tuple[str, int, Cents]], q: int, price: Fraction
+    fills: Iterable[tuple[str, int, Cents]], q: int, cost: Cents
 ) -> Allocation:
     """The one constructor of an `Allocation`.
 
     `fills` are (seller id, quantity, unit price) in seller-id order, each
-    quantity positive, together covering q units at the fair unit price
-    `price`, so the total cost is price * q.
+    quantity positive, together covering q units at total cost `cost`, so
+    the fair unit price is cost / q.
     """
     return Allocation(
         entries=tuple(AllocationEntry(*fill) for fill in fills),
         total_quantity=q,
-        total_cost_cents=price.numerator * q // price.denominator,
-        fair_unit_price_cents=price,
+        total_cost_cents=cost,
+        fair_unit_price_cents=Fraction(cost, q),
     )
 
 
@@ -187,7 +187,7 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
         fills.append((seller.id, take, seller.curve.price_at(take)))
         remaining -= take
     fills.sort()
-    return _build_allocation(fills, q, Fraction(sum(x * p for _, x, p in fills), q))
+    return _build_allocation(fills, q, sum(x * p for _, x, p in fills))
 
 
 _INF = 1 << 62
@@ -333,16 +333,16 @@ def _exact_splits(
     prices: np.ndarray,
     offsets: np.ndarray,
     n: int,
-) -> tuple[Callable[[FairPricePoint], Allocation], Callable[[], list[str]]]:
-    """The point source and the summaries of one exact curve, from one backward pass.
+) -> tuple[Callable[[int, Cents], Allocation], Callable[[], list[str]]]:
+    """The split source and the summaries of one exact curve, from one backward pass.
 
     The first read walks the choice arrays of the sellers with stock once
     for all demands 0..n together, sellers in reverse id order, each step
     one gather x = choice[remaining] and remaining -= x.  The walk is
-    memoized as a (sellers, n + 1) int32 matrix, one column per demand.  A
-    point's split is its column's nonzero entries, in id order, priced from
-    the tables the DP sweep read; the summaries take every column's nonzero
-    entries in one pass, demand by demand, and build no `Allocation`.
+    memoized as a (sellers, n + 1) int32 matrix, one column per demand.  The
+    split of demand q is column q's nonzero entries, in id order, priced
+    from the tables the DP sweep read; the summaries take every column's
+    nonzero entries in one pass, demand by demand, and build no `Allocation`.
     """
     stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
     stocked_choices = [choices[i] for i in stocked]
@@ -359,8 +359,8 @@ def _exact_splits(
         assert not remaining.any(), "the DP choices must cover every demand"
         return quantities
 
-    def split(point: FairPricePoint) -> Allocation:
-        column = walk()[:, point.q]
+    def split(q: int, cost: Cents) -> Allocation:
+        column = walk()[:, q]
         used = column.nonzero()[0]
         x = column[used]
         fills = zip(
@@ -368,7 +368,7 @@ def _exact_splits(
             x.tolist(),
             prices[stocked_offsets[used] + x].tolist(),
         )
-        return _build_allocation(fills, point.q, point.price_cents)
+        return _build_allocation(fills, q, cost)
 
     def summaries() -> list[str]:
         by_demand = walk()[:, 1:].T  # row q - 1 holds demand q's split
@@ -391,36 +391,15 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     on how far the curve reaches.
     """
     _check_request(sellers, q)
-    return fair_price_curve(sellers, q).points[q - 1].allocation
+    return fair_price_curve(sellers, q).allocation(q)
 
 
-class FairPricePoint:
-    """One demand on a fair price curve: its unit price and the allocation behind it.
+class FairPricePoint(NamedTuple):
+    """One demand on a fair price curve: its least total cost and unit price."""
 
-    A point keeps a `source` and calls `source(point)` the first time the
-    allocation is read: on an exact DP curve it reads the split from the
-    curve's `_exact_splits` walk, on an envelope curve it takes the
-    envelope's seller, on a greedy curve it is
-    `greedy_allocation(sellers, q)`.  A fair reads the prices on every join,
-    the allocations only when they are written out.  Points compare by
-    identity, so comparing curves builds no allocation.
-    """
-
-    __slots__ = ("q", "price_cents", "_allocation", "_source")
-
-    def __init__(
-        self, q: int, price_cents: Fraction, *, source: Callable[[FairPricePoint], Allocation]
-    ):
-        self.q = q
-        self.price_cents = price_cents
-        self._allocation: Allocation | None = None
-        self._source = source
-
-    @property
-    def allocation(self) -> Allocation:
-        if self._allocation is None:
-            self._allocation = self._source(self)
-        return self._allocation
+    q: int
+    cost_cents: Cents
+    price_cents: Fraction  # cost_cents / q, stored since a fair reads it on every join
 
 
 @dataclass(frozen=True)
@@ -431,21 +410,29 @@ class FairPriceCurve:
     which case the sweep stops at the requested q_max).  Unlike a single
     seller's curve this one may be non-monotone: once the cheapest seller's
     stock is exhausted the next allocation mixes in a pricier supplier.
+    `_split(q, cost)`, the curve's one split source, builds the `Allocation`
+    behind demand q: the `_exact_splits` walk, the envelope, or the greedy fill.
     """
 
     points: tuple[FairPricePoint, ...]
     q_feasible_max: int | None
+    _split: Callable[[int, Cents], Allocation] = field(compare=False, repr=False)
     _summaries: Callable[[], list[str]] | None = field(default=None, compare=False, repr=False)
+
+    def allocation(self, q: int) -> Allocation:
+        """The split behind demand q, built afresh from the curve's split source."""
+        self.price_at(q)  # refuses a demand off the curve
+        return self._split(q, self.points[q - 1].cost_cents)
 
     def summaries(self) -> list[str]:
         """Every point's `Allocation.summary()` text in demand order, in one pass.
 
         An exact DP curve reads its walked splits and an envelope curve its
-        one seller per demand, so neither builds an `Allocation`; any other
-        curve reads each point's allocation.
+        one seller per demand, so neither builds an `Allocation`; a greedy
+        curve reads each demand's allocation.
         """
         if self._summaries is None:
-            return [point.allocation.summary() for point in self.points]
+            return [self.allocation(point.q).summary() for point in self.points]
         return self._summaries()
 
     def price_at(self, q: int) -> Fraction:
@@ -456,7 +443,7 @@ class FairPriceCurve:
 
     def is_monotone_non_increasing(self) -> bool:
         return all(
-            b.price_cents <= a.price_cents
+            b.cost_cents * a.q <= a.cost_cents * b.q
             for a, b in zip(self.points, self.points[1:])
         )
 
@@ -466,14 +453,14 @@ def fair_price_curve(
     q_max: int,
     method: str = "exact",
 ) -> FairPriceCurve:
-    """Sweep demands 1..q_max and record the price and allocation per demand.
+    """Sweep demands 1..q_max and record the total cost and price per demand.
 
     Each method prices every demand from one sweep over the sellers' price
     tables.  When no seller has a stock limit both methods read
     `lower_envelope`; otherwise the exact method runs the DP and the greedy
-    one `_greedy_costs`.  Each point's allocation is rebuilt when it is
-    first read: the first read on an exact DP curve walks the choices back
-    for every demand at once.
+    one `_greedy_costs`.  The curve builds a demand's `Allocation` only when
+    `FairPriceCurve.allocation` reads it: the first read on an exact DP
+    curve walks the choices back for every demand at once.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -485,10 +472,8 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    costs: list[Cents] = []
-    source: Callable[[FairPricePoint], Allocation] | None = None
     summaries: Callable[[], list[str]] | None = None
-    if method == "exact" and q_cap >= 1:
+    if method == "exact":
         _check_exact_scale(sellers, q_cap)
     if all(s.availability is None for s in sellers):
         # Without stock limits one seller always suffices: prices are
@@ -498,26 +483,24 @@ def fair_price_curve(
         # the greedy fill takes every unit from that same seller.
         best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
         costs = [p.q * p.price_cents for p in best]
-        source = lambda point: _build_allocation(
-            [(best[point.q - 1].seller_id, point.q, best[point.q - 1].price_cents)],
-            point.q, point.price_cents,
+        split = lambda q, cost: _build_allocation(
+            [(best[q - 1].seller_id, q, best[q - 1].price_cents)], q, cost
         )
         summaries = lambda: [_summary([(p.seller_id, p.q)]) for p in best]
     elif method == "greedy":
         market = tuple(sellers)
         costs = _greedy_costs(market, q_cap)
-        source = lambda point: greedy_allocation(market, point.q)
-    elif q_cap >= 1:
+        split = lambda q, cost: greedy_allocation(market, q)
+    else:
         key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
         # packed is cost*width + sellers used, so the cost is its quotient;
         # the curve ends before the first demand no split reaches
         costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-        source, summaries = _exact_splits(choices, ordered, prices, offsets, len(costs))
+        split, summaries = _exact_splits(choices, ordered, prices, offsets, len(costs))
     points = tuple(
-        FairPricePoint(q, Fraction(cost, q), source=source)
-        for q, cost in enumerate(costs, start=1)
+        FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
     )
-    return FairPriceCurve(points=points, q_feasible_max=feasible_max, _summaries=summaries)
+    return FairPriceCurve(points, feasible_max, split, summaries)
 
 
 @dataclass(frozen=True)
@@ -529,11 +512,11 @@ class OptimalPoint:
 
 
 def optimal_demand(curve: FairPriceCurve) -> OptimalPoint:
-    """Scan for the minimum price; on ties keep the smallest demand."""
+    """Scan for the least cost / q, cross-multiplied; on ties keep the smallest demand."""
     if not curve.points:
         raise ValueError("fair price curve is empty")
     best = curve.points[0]
     for point in curve.points[1:]:
-        if point.price_cents < best.price_cents:
+        if point.cost_cents * best.q < best.cost_cents * point.q:
             best = point
     return OptimalPoint(q_star=best.q, z_star_cents=best.price_cents)

@@ -113,8 +113,9 @@ def cmd_envelope(args) -> int:
     envelope = lower_envelope([(s.id, s.curve) for s in sellers], args.q_max)
     header, rows = fileio.envelope_rows(envelope)
     _emit(args, header, rows)
+    status = sys.stdout if args.out else sys.stderr  # stdout holds only rows without --out
     for seg in envelope.segments:
-        print(f"segment q={seg.q_from}..{seg.q_to} best={seg.seller_id}")
+        print(f"segment q={seg.q_from}..{seg.q_to} best={seg.seller_id}", file=status)
     return EXIT_OK
 
 
@@ -140,7 +141,8 @@ def cmd_curve(args) -> int:
         best = optimal_demand(curve)
         header, rows = fileio.fair_curve_rows(curve)
         _emit(args, header, rows)
-        print(f"optimal q*={best.q_star} z*={frac_str(best.z_star_cents)}")
+        status = sys.stdout if args.out else sys.stderr  # stdout holds only rows without --out
+        print(f"optimal q*={best.q_star} z*={frac_str(best.z_star_cents)}", file=status)
     else:
         header, rows = fileio.curve_sweep_rows(sellers, args.q_max)
         _emit(args, header, rows)

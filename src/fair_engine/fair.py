@@ -416,7 +416,7 @@ class Fair:
             curve, _ = self._outlook(ledger.effective_sellers(self.sellers), demand)
             if demand > len(curve.points):
                 raise InfeasibleDemandError(demand, curve.q_feasible_max)
-            allocation = curve.points[demand - 1].allocation
+            allocation = curve.allocation(demand)
             ledger.commit(allocation)
             cost = allocation.total_cost_cents
         margin = self.config.margin

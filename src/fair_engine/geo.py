@@ -78,17 +78,14 @@ def shipping_plan(
     sellers: Sequence["Seller"],
     orders: Sequence[tuple[str, int]],
     destinations: Mapping[str, Position],
-    pickups: Mapping[str, Position] | None = None,
 ) -> ShippingPlan:
     """Group settled parcels into (seller, destination) routes and cost them.
 
     `orders` is the (buyer_id, quantity) list in join order; units are drawn
     from allocation entries in ascending seller-id order, so the mapping of
-    buyers to sellers is deterministic and auditable.  A buyer with a pickup
-    place given in advance in `pickups` ships there instead of to their own
-    destination.
+    buyers to sellers is deterministic and auditable.  A pickup place given
+    in advance is that buyer's entry in `destinations`.
     """
-    pickups = pickups or {}
     sellers_by_id = {s.id: s for s in sellers}
 
     total_ordered = sum(q for _, q in orders)
@@ -100,7 +97,7 @@ def shipping_plan(
     for buyer_id, q in orders:
         if q < 1:
             raise ValueError(f"order quantity for buyer {buyer_id} must be positive")
-        if buyer_id not in pickups and buyer_id not in destinations:
+        if buyer_id not in destinations:
             raise ValueError(f"no destination for buyer {buyer_id}")
 
     # Walk the seller unit stream against the buyer unit stream.
@@ -110,7 +107,7 @@ def shipping_plan(
     parcels: dict[tuple[str, Position], int] = {}
     si, remaining_seller = 0, seller_units[0][1] if seller_units else 0
     for buyer_id, q in orders:
-        dest = pickups.get(buyer_id, destinations.get(buyer_id))
+        dest = destinations[buyer_id]
         needed = q
         while needed > 0:
             seller_id, _ = seller_units[si]

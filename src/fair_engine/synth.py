@@ -136,7 +136,7 @@ def run_experiment(
     that curve is non-monotone, and the largest relative price excess of
     greedy over exact.  Without a stock limit the greedy fill takes the
     envelope's seller, so the exact curve serves as the greedy one.  A
-    demand range larger than the total stock is truncated with a notice.
+    demand range beyond the total stock is truncated with a notice; no stock is refused.
     """
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
@@ -147,6 +147,8 @@ def run_experiment(
     sellers = [replace(s, availability=availability) for s in population]
     notices = []
     feasible = total_availability(sellers)
+    if feasible == 0:
+        raise ValueError("no seller has stock, so the fair price curve is empty")
     if feasible is not None and feasible < q_max:
         notices.append(
             f"availability={availability}: demand range truncated to "
@@ -156,14 +158,12 @@ def run_experiment(
     greedy = exact if availability is None else fair_price_curve(sellers, q_max, method="greedy")
     summary_curve = exact if method == "exact" else greedy
     optimal = optimal_demand(summary_curve)
-    # the gap is pg/pe - 1: keep the largest ratio as integers num/den,
-    # compared by cross-multiplying, starting from 1/1 (no gap)
+    # the gap is greedy_cost/exact_cost - 1 (q cancels): keep the largest cost
+    # ratio num/den, compared by cross-multiplying, starting from 1/1 (no gap)
     num, den = 1, 1
     for pe, pg in zip(exact.points, greedy.points):
-        e, g = pe.price_cents, pg.price_cents
-        n, d = g.numerator * e.denominator, g.denominator * e.numerator
-        if n * den > num * d:
-            num, den = n, d
+        if pg.cost_cents * den > num * pe.cost_cents:
+            num, den = pg.cost_cents, pe.cost_cents
     return ExperimentRun(
         availability=availability,
         curve_exact=exact,

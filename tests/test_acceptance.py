@@ -131,21 +131,21 @@ def test_criterion_05_lowest_demand_tie_break():
             prices.extend([level] * rng.randint(1, 6))
             level = max(1, level + rng.randint(-400, 150))
         prices = prices[:40]
-        points = []
+        points, allocs = [], []
         for q, price in enumerate(prices, start=1):
             entry = AllocationEntry(seller_id="X", quantity=q, unit_price_cents=price)
-            alloc = Allocation(
-                entries=(entry,),
-                total_quantity=q,
-                total_cost_cents=q * price,
-                fair_unit_price_cents=Fraction(price),
-            )
-            points.append(
-                FairPricePoint(
-                    q=q, price_cents=Fraction(price), source=lambda point, alloc=alloc: alloc
+            allocs.append(
+                Allocation(
+                    entries=(entry,),
+                    total_quantity=q,
+                    total_cost_cents=q * price,
+                    fair_unit_price_cents=Fraction(price),
                 )
             )
-        curve = FairPriceCurve(points=tuple(points), q_feasible_max=40)
+            points.append(FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price)))
+        curve = FairPriceCurve(
+            points=tuple(points), q_feasible_max=40, _split=lambda q, cost: allocs[q - 1]
+        )
         best = optimal_demand(curve)
         expected_q, expected_price = first_minimum(prices)
         assert best.q_star == expected_q
@@ -274,8 +274,7 @@ def test_criterion_10_pickup_merge_never_raises_cost():
             allocation,
             [seller],
             orders,
-            destinations,
-            pickups={orders[i][0]: pickup, orders[j][0]: pickup},
+            {**destinations, **{orders[i][0]: pickup, orders[j][0]: pickup}},
         )
         assert after.total_cost_cents <= before.total_cost_cents
         checked += 1

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fixtures import random_small_instances
-from oracles import brute_force_min_cost, repriced, scan_allocation, scan_dp_tables
+from oracles import (
+    brute_force_min_cost,
+    first_minimum,
+    repriced,
+    scan_allocation,
+    scan_dp_tables,
+)
 
 from fair_engine import allocation as allocation_mod
 from fair_engine.allocation import (
@@ -34,7 +40,7 @@ from fair_engine.allocation import (
     total_availability,
 )
 from fair_engine.curves import LinearPlateauCurve, TabularCurve, linear_curve, lower_envelope
-from fair_engine.fileio import read_sellers_csv
+from fair_engine.fileio import allocation_rows, fair_curve_rows, read_sellers_csv
 
 GOLDEN_CURVES = Path(__file__).parent / "data" / "golden" / "curves.csv"
 
@@ -231,8 +237,9 @@ class TestFairPriceCurve:
             curve = fair_price_curve(inst.sellers, inst.demand)
             caps = {s.id: s.availability for s in inst.sellers}
             for point in curve.points:
-                assert point.allocation.total_quantity == point.q
-                for entry in point.allocation.entries:
+                allocation = curve.allocation(point.q)
+                assert allocation.total_quantity == point.q
+                for entry in allocation.entries:
                     assert entry.quantity <= caps[entry.seller_id]
 
     def test_dp_matches_the_upward_scan(self, monkeypatch):
@@ -273,12 +280,9 @@ class TestFairPriceCurve:
         optimal_demand(curve)
         curve.price_at(3)
         assert built == []
-        point = curve.points[2]
-        assert point.allocation is point.allocation
+        allocation = curve.allocation(3)
         assert len(built) == 1
-        assert point.allocation == optimal_allocation(sellers, 3)
-        with pytest.raises(TypeError):
-            FairPricePoint(1, Fraction(1))
+        assert allocation == optimal_allocation(sellers, 3)
 
     def test_greedy_prices_are_read_without_building_allocations(self, monkeypatch):
         calls = []
@@ -292,10 +296,17 @@ class TestFairPriceCurve:
         optimal_demand(curve)
         curve.price_at(3)
         assert calls == []
-        point = curve.points[2]
-        assert point.allocation is point.allocation
+        allocation = curve.allocation(3)
         assert calls == [3]
-        assert point.allocation == greedy(sellers, 3)
+        assert allocation == greedy(sellers, 3)
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_a_split_off_the_curve_is_refused(self, method):
+        curve = fair_price_curve(two_capped_sellers(), 6, method=method)
+        assert len(curve.points) == 4
+        for q in (0, 5):
+            with pytest.raises(ValueError):
+                curve.allocation(q)
 
     def test_greedy_costs_beyond_int64_stay_exact(self):
         # sum(capacity * price(1)) is 1.5e19, over 2**63; S9's own price is too
@@ -319,7 +330,7 @@ class TestFairPriceCurve:
         tracemalloc.start()
         try:
             curve = fair_price_curve([*empty, unlimited], 2000)
-            last = curve.points[-1].allocation  # walks the choices back for every demand
+            last = curve.allocation(2000)  # walks the choices back for every demand
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -341,21 +352,21 @@ class TestFairPriceCurve:
 
 def _curve_from_prices(prices_cents):
     """Assemble a FairPriceCurve literal for optimum-scan tests."""
-    points = []
+    points, allocs = [], []
     for q, price in enumerate(prices_cents, start=1):
         entry = AllocationEntry(seller_id="X", quantity=q, unit_price_cents=price)
-        alloc = Allocation(
-            entries=(entry,),
-            total_quantity=q,
-            total_cost_cents=q * price,
-            fair_unit_price_cents=Fraction(price),
-        )
-        points.append(
-            FairPricePoint(
-                q=q, price_cents=Fraction(price), source=lambda point, alloc=alloc: alloc
+        allocs.append(
+            Allocation(
+                entries=(entry,),
+                total_quantity=q,
+                total_cost_cents=q * price,
+                fair_unit_price_cents=Fraction(price),
             )
         )
-    return FairPriceCurve(points=tuple(points), q_feasible_max=len(points))
+        points.append(FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price)))
+    return FairPriceCurve(
+        points=tuple(points), q_feasible_max=len(points), _split=lambda q, cost: allocs[q - 1]
+    )
 
 
 class TestOptimalDemand:
@@ -391,7 +402,27 @@ class TestOptimalDemand:
 
     def test_rejects_empty_curve(self):
         with pytest.raises(ValueError):
-            optimal_demand(FairPriceCurve(points=(), q_feasible_max=0))
+            optimal_demand(FairPriceCurve(points=(), q_feasible_max=0, _split=None))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=1, max_size=30)
+    )
+    def test_integer_scans_agree_with_the_fraction_scans(self, draws):
+        # costs p*q + b tie across demands often (1*2+2 and 2*2+0, say)
+        costs = [p * q + b for q, (p, b) in enumerate(draws, start=1)]
+        curve = FairPriceCurve(
+            points=tuple(
+                FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
+            ),
+            q_feasible_max=None,
+            _split=None,
+        )
+        prices = [Fraction(cost, q) for q, cost in enumerate(costs, start=1)]
+        best = optimal_demand(curve)
+        assert (best.q_star, best.z_star_cents) == first_minimum(prices)
+        assert curve.is_monotone_non_increasing() == all(
+            b <= a for a, b in zip(prices, prices[1:])
+        )
 
 
 def test_total_availability():
@@ -429,13 +460,13 @@ def small_markets(draw, unlimited=False):
     return sellers, draw(st.integers(1, 12))
 
 
-@settings(deadline=None)
 @given(small_markets())
 def test_curve_price_is_plain_cost_over_quantity(market):
     sellers, q_max = market
     for method in ("exact", "greedy"):
-        for point in fair_price_curve(sellers, q_max, method=method).points:
-            alloc = point.allocation
+        curve = fair_price_curve(sellers, q_max, method=method)
+        for point in curve.points:
+            alloc = curve.allocation(point.q)
             assert alloc.total_quantity == point.q
             assert point.price_cents == alloc.fair_unit_price_cents
             assert point.price_cents == repriced(alloc, sellers)
@@ -443,19 +474,20 @@ def test_curve_price_is_plain_cost_over_quantity(market):
                 assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)
 
 
-@settings(deadline=None)
 @given(small_markets(unlimited=True))
 def test_curve_points_do_not_depend_on_the_horizon(market):
     # a settlement reads point q of a curve built to the fair's horizon, and
     # optimal_allocation reads it from a curve built to q: both are one point
     sellers, horizon = market
-    for point in fair_price_curve(sellers, horizon).points:
-        short = fair_price_curve(sellers, point.q).points[point.q - 1]
-        assert (short.price_cents, short.allocation) == (point.price_cents, point.allocation)
+    curve = fair_price_curve(sellers, horizon)
+    for point in curve.points:
+        short = fair_price_curve(sellers, point.q)
+        assert (short.points[point.q - 1], short.allocation(point.q)) == (
+            point, curve.allocation(point.q)
+        )
         assert point.price_cents * point.q == brute_force_min_cost(sellers, point.q)
 
 
-@settings(deadline=None)
 @given(small_markets(unlimited=True), st.sampled_from([1, 5, allocation_mod._DP_BLOCK_CELLS]))
 def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
     # the sweep, whether its demands come in one block or in several, prices
@@ -468,20 +500,20 @@ def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
     for point in curve.points:
         expected = greedy_allocation(sellers, point.q)
         assert point.price_cents == expected.fair_unit_price_cents
-        assert point.allocation == expected
+        assert curve.allocation(point.q) == expected
 
 
-@settings(deadline=None)
 @given(small_markets(unlimited=True), st.randoms(use_true_random=False))
 def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng):
     # whichever point is read first walks the choices back for all of them;
     # each split is the upward scan's, in id order, priced from the curves
     sellers, q_max = market
     by_id = {s.id: s for s in sellers}
-    points = list(fair_price_curve(sellers, q_max).points)
+    curve = fair_price_curve(sellers, q_max)
+    points = list(curve.points)
     rng.shuffle(points)
     for point in points:
-        alloc = point.allocation
+        alloc = curve.allocation(point.q)
         assert {e.seller_id: e.quantity for e in alloc.entries} == scan_allocation(sellers, point.q)
         assert [e.seller_id for e in alloc.entries] == sorted(e.seller_id for e in alloc.entries)
         for entry in alloc.entries:
@@ -494,14 +526,15 @@ def test_exact_splits_read_first_on_several_threads_are_the_same():
     # every thread's first read may walk the choices; each sees a whole walk
     sellers = [Seller(f"S{i}", linear_curve(20 + i, "0.5", 5 + i), availability=3 + i % 4)
                for i in range(12)]
-    expected = [p.allocation for p in fair_price_curve(sellers, 60).points]
+    fresh = fair_price_curve(sellers, 60)
+    expected = [fresh.allocation(p.q) for p in fresh.points]
     curve = fair_price_curve(sellers, 60)
     barrier = threading.Barrier(8)
     results = [None] * 8
 
     def read(i):
         barrier.wait(timeout=10)
-        results[i] = [p.allocation for p in curve.points]
+        results[i] = [curve.allocation(p.q) for p in curve.points]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -530,7 +563,7 @@ def unlimited_markets(draw):
     return [Seller(sid, draw(pool)) for sid in ids], draw(st.integers(1, 12))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(unlimited_markets())
 def test_unlimited_curves_are_the_scan_and_the_brute_force_at_every_demand(market):
     # the lower envelope prices both methods: one seller, the lowest id among
@@ -544,8 +577,8 @@ def test_unlimited_curves_are_the_scan_and_the_brute_force_at_every_demand(marke
         for curve in curves:
             point = curve.points[q - 1]
             assert point.price_cents * q == cost
-            assert point.allocation.summary() == summary
-            assert point.allocation.total_cost_cents == cost
+            assert curve.allocation(q).summary() == summary
+            assert curve.allocation(q).total_cost_cents == cost
 
 
 def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
@@ -555,8 +588,8 @@ def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
     monkeypatch.setattr(allocation_mod, "_dp_tables", no_dp)
     unlimited = [Seller("B", linear_curve(9, "0.5", 6)), Seller("A", linear_curve(8, 0, 8))]
     curve = fair_price_curve(unlimited, 20)
-    assert [p.allocation.summary() for p in curve.points[:2]] == ["A:1", "A:2"]
-    assert curve.points[-1].allocation.summary() == "B:20"
+    assert [curve.allocation(q).summary() for q in (1, 2)] == ["A:1", "A:2"]
+    assert curve.allocation(20).summary() == "B:20"
     mixed = [*unlimited, Seller("C", linear_curve(5, 0, 5), availability=3)]
     with pytest.raises(AssertionError, match="the DP ran"):
         fair_price_curve(mixed, 20)
@@ -588,7 +621,7 @@ def test_unlimited_costs_beyond_int64_stay_exact():
     for point in curve.points:
         expected = greedy_allocation(sellers, point.q)
         assert point.price_cents == expected.fair_unit_price_cents
-        assert point.allocation == expected
+        assert curve.allocation(point.q) == expected
     with pytest.raises(ValueError, match="cost scale too large for the exact solver"):
         fair_price_curve(sellers, 160)
 
@@ -612,7 +645,7 @@ def tabular_markets(draw):
     return sellers, draw(st.integers(1, 300))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets(), tabular_sellers("X"))
 def test_adding_a_seller_never_raises_an_exact_price_nor_shortens_the_curve(market, extra):
     sellers, q_max = market
@@ -623,20 +656,20 @@ def test_adding_a_seller_never_raises_an_exact_price_nor_shortens_the_curve(mark
         assert pa.price_cents <= pb.price_cents
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets(), st.randoms(use_true_random=False))
 def test_shuffling_the_sellers_keeps_every_split(market, rng):
     sellers, q_max = market
     shuffled = list(sellers)
     rng.shuffle(shuffled)
     for method in ("exact", "greedy"):
-        curves = [fair_price_curve(s, q_max, method=method).points for s in (sellers, shuffled)]
-        assert [(p.price_cents, p.allocation) for p in curves[0]] == [
-            (p.price_cents, p.allocation) for p in curves[1]
+        curves = [fair_price_curve(s, q_max, method=method) for s in (sellers, shuffled)]
+        assert [(p.price_cents, curves[0].allocation(p.q)) for p in curves[0].points] == [
+            (p.price_cents, curves[1].allocation(p.q)) for p in curves[1].points
         ]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets())
 def test_exact_is_never_above_greedy_at_any_demand(market):
     sellers, q_max = market
@@ -647,18 +680,19 @@ def test_exact_is_never_above_greedy_at_any_demand(market):
         assert pe.price_cents <= pg.price_cents
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets())
 def test_every_exact_split_reprices_to_its_point(market):
     sellers, q_max = market
-    for point in fair_price_curve(sellers, q_max).points:
-        alloc = point.allocation
+    curve = fair_price_curve(sellers, q_max)
+    for point in curve.points:
+        alloc = curve.allocation(point.q)
         assert alloc.total_quantity == point.q
         assert repriced(alloc, sellers) == point.price_cents
         assert alloc.total_cost_cents == point.q * point.price_cents
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets(), st.data())
 def test_raising_one_sellers_stock_never_raises_an_exact_price_nor_shortens_the_curve(
     market, data
@@ -676,7 +710,7 @@ def test_raising_one_sellers_stock_never_raises_an_exact_price_nor_shortens_the_
         assert pa.price_cents <= pb.price_cents
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(tabular_markets(), st.integers(2, 1000))
 def test_scaling_every_price_scales_every_exact_cost_and_keeps_every_split(market, k):
     sellers, q_max = market
@@ -688,18 +722,54 @@ def test_scaling_every_price_scales_every_exact_cost_and_keeps_every_split(marke
     assert len(big.points) == len(base.points)
     for pb, pk in zip(base.points, big.points):
         assert pk.price_cents * pk.q == k * pb.price_cents * pb.q
-        assert [(e.seller_id, e.quantity) for e in pk.allocation.entries] == [
-            (e.seller_id, e.quantity) for e in pb.allocation.entries
+        assert [(e.seller_id, e.quantity) for e in big.allocation(pk.q).entries] == [
+            (e.seller_id, e.quantity) for e in base.allocation(pb.q).entries
         ]
     assert big.summaries() == base.summaries()
 
 
+@settings(max_examples=15)
+@given(tabular_markets(), st.text(alphabet="abXY09_-", min_size=1, max_size=5))
+def test_prefixing_every_seller_id_changes_only_the_ids_in_the_rows(market, prefix):
+    # a common prefix keeps the id order, so every tie-break and split stays
+    sellers, q_max = market
+    renamed = [replace(s, id=prefix + s.id) for s in sellers]
+
+    def prefixed(summary):
+        return "+".join(prefix + fill for fill in summary.split("+"))
+
+    for method in ("exact", "greedy"):
+        base, named = (fair_price_curve(s, q_max, method=method) for s in (sellers, renamed))
+        header, rows = fair_curve_rows(base)
+        assert fair_curve_rows(named) == (header, [[q, z, prefixed(t)] for q, z, t in rows])
+        for point in base.points:
+            header, rows = allocation_rows(base.allocation(point.q))
+            assert allocation_rows(named.allocation(point.q)) == (
+                header, [[q, prefix + sid, *rest] for q, sid, *rest in rows]
+            )
+
+
+@settings(max_examples=15)
+@given(tabular_markets())
+def test_every_point_is_its_cost_over_q_and_its_split_costs_that(market):
+    # as drawn, the exact method runs the DP; with no stock limit, both
+    # methods read the envelope
+    sellers, q_max = market
+    unlimited = [replace(s, availability=None) for s in sellers]
+    for market_sellers in (sellers, unlimited):
+        for method in ("exact", "greedy"):
+            curve = fair_price_curve(market_sellers, q_max, method=method)
+            for point in curve.points:
+                assert point.price_cents == Fraction(point.cost_cents, point.q)
+                assert curve.allocation(point.q).total_cost_cents == point.cost_cents
+
+
 def summaries_are_the_allocation_summaries(sellers, q_max):
-    """Each method's `summaries()`, read first on a fresh curve, equals the points' own."""
+    """Each method's `summaries()`, read first on a fresh curve, equals its allocations' own."""
     for method in ("exact", "greedy"):
         curve = fair_price_curve(sellers, q_max, method=method)
         texts = curve.summaries()
-        assert texts == [point.allocation.summary() for point in curve.points]
+        assert texts == [curve.allocation(point.q).summary() for point in curve.points]
 
 
 @pytest.mark.parametrize("unlimited", [False, True])
@@ -713,7 +783,6 @@ def test_summaries_of_the_golden_market(unlimited):
         summaries_are_the_allocation_summaries(sellers, q_max)
 
 
-@settings(deadline=None)
 @given(small_markets(unlimited=True))
 def test_summaries_of_small_markets(market):
     summaries_are_the_allocation_summaries(*market)

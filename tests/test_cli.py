@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import csv
+import io
 import json
 import time
 from decimal import Decimal
@@ -174,6 +176,26 @@ class TestCurve:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["rows"][0] == {"seller_id": "A", "q": 1, "price": "100.00"}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["envelope", "--q-max", "3"], "segment q=1..3 best=A\n"),
+            (["curve", "--fair", "--q-max", "3"], "optimal q*=2 z*=9.0000\n"),
+        ],
+    )
+    def test_rows_on_stdout_parse_and_the_status_line_goes_to_stderr(
+        self, capped_file, capsys, argv, status, fmt
+    ):
+        assert main([argv[0], capped_file, *argv[1:], "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        if fmt == "json":
+            assert len(json.loads(captured.out)["rows"]) == 3
+        else:
+            rows = list(csv.reader(io.StringIO(captured.out)))
+            assert len(rows) == 4 and {len(row) for row in rows} == {len(rows[0])}
+        assert captured.err == status
 
     @pytest.mark.parametrize("argv", [["envelope"], ["curve"], ["curve", "--fair"]])
     def test_zero_q_max_exits_2(self, ab_file, capsys, argv):
@@ -482,6 +504,21 @@ class TestExperiment:
         assert main(["experiment", str(cfg), "--out", str(tmp_path / "runs")]) == 0
         assert built == []
         assert len(drawn) == 1
+
+    def test_an_entry_without_stock_fails_alone_naming_the_missing_stock(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("3, unlimited", "unlimited, 0, 3"),
+                       encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "availability=0 failed: no seller has stock, so the fair price curve is empty\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "experiment_curves_3.csv",
+            "experiment_curves_unlimited.csv",
+            "experiment_summary.csv",
+        ]
 
     def test_truncation_notice_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

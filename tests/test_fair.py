@@ -380,7 +380,7 @@ class TestOutlookCache:
         assert after == rebuilt_prediction(fair, ledger, WHAT_IF)
         assert (after.optimal, after.what_if) != (before.optimal, before.what_if)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         stock=st.tuples(
             st.integers(1, 6), st.integers(1, 6), st.one_of(st.none(), st.integers(1, 6))

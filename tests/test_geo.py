@@ -66,8 +66,7 @@ class TestShippingPlan:
         pickup = Position(5, 0)
         merged = shipping_plan(
             alloc, [seller], orders,
-            {"b1": Position(5, 0), "b2": Position(0, 5)},
-            pickups={"b1": pickup, "b2": pickup},
+            {**{"b1": Position(5, 0), "b2": Position(0, 5)}, **{"b1": pickup, "b2": pickup}},
         )
         assert len(spread.routes) == 2
         assert len(merged.routes) == 1
@@ -119,7 +118,7 @@ class TestShippingPlan:
             i, j = rng.sample(range(n_buyers), 2)
             pickup = dests[orders[i][0]]
             merged = shipping_plan(
-                alloc, [seller], orders, dests,
-                pickups={orders[i][0]: pickup, orders[j][0]: pickup},
+                alloc, [seller], orders,
+                {**dests, **{orders[i][0]: pickup, orders[j][0]: pickup}},
             )
             assert merged.total_cost_cents <= before.total_cost_cents

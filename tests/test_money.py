@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fair_engine.money import cents, frac_str, ratio, ratio_str
@@ -18,7 +18,6 @@ def reference_str(value: Fraction, places: int) -> str:
     return f"{sign}{whole}.{part:0{places}d}" if places else f"{sign}{whole}"
 
 
-@settings(deadline=None)
 @given(
     st.fractions(max_denominator=10**12)
     | st.builds(Fraction, st.integers(-(10**45), 10**45), st.integers(1, 10**42))

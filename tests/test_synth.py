@@ -96,7 +96,7 @@ class TestRunExperiment:
         spec = PopulationSpec(n_sellers=10, seed=11)
         runs = [run_experiment(generate_sellers(spec), a, q_max=30) for a in (5, 20, None)]
         curves = [
-            {e.seller_id: e.unit_price_cents for e in run.curve_exact.points[0].allocation.entries}
+            {e.seller_id: e.unit_price_cents for e in run.curve_exact.allocation(1).entries}
             for run in runs
         ]
         assert curves[0] == curves[1] == curves[2]
@@ -107,7 +107,7 @@ class TestRunExperiment:
         population = generate_sellers(PopulationSpec(n_sellers=6, seed=11))
         for availability in (3, None):
             run = run_experiment(population, availability, q_max=12)
-            split = run.curve_exact.points[-1].allocation
+            split = run.curve_exact.allocation(len(run.curve_exact.points))
             by_id = {s.id: s.curve for s in population}
             for entry in split.entries:
                 assert entry.unit_price_cents == by_id[entry.seller_id].price_at(entry.quantity)
