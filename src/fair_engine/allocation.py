@@ -14,17 +14,12 @@ breaks marginal-cost arguments), so enumerating per-seller quantities is the
 sound route.  One DP sweep yields optima for every demand 1..q_max at once,
 which is what the fair-level price curve needs.
 
-A fair price curve of either method reads each seller's curve as an
-integer price table, which the curve memoizes, and prices every demand from
-one sweep over those tables: the lower envelope (`lower_envelope`) for
-both methods when no seller has a stock limit, and otherwise the DP for
-the exact method and a blocked rank-and-fill for the greedy one.  A
-point holds a demand's integer total cost and unit price; the curve reads
-a split from its one source: an exact DP curve walks its choice arrays
-back once for every demand, an envelope curve takes the envelope's
-seller, and a greedy curve calls `greedy_allocation`, the reference for a
-single greedy demand.  A curve's `summaries()` gives every point's split
-as text, with no `Allocation` built on an exact or envelope curve.
+A fair price curve of either method prices every demand from one sweep
+over the sellers' memoized integer price tables: the lower envelope for
+both methods when no seller has a stock limit, else the DP or a blocked
+rank-and-fill.  Its splits are one fills table for all demands, built on
+the first split read: the DP choices walked back, the envelope's sellers,
+or the greedy sweep run again.
 """
 
 from __future__ import annotations
@@ -32,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, groupby, islice, takewhile
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, islice, takewhile
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,8 +94,7 @@ def total_availability(sellers: Sequence[Seller]) -> int | None:
     return total
 
 
-@dataclass(frozen=True)
-class AllocationEntry:
+class AllocationEntry(NamedTuple):
     seller_id: str
     quantity: int
     unit_price_cents: Cents
@@ -121,12 +114,12 @@ class Allocation:
     fair_unit_price_cents: Fraction
 
     def summary(self) -> str:
-        return _summary((e.seller_id, e.quantity) for e in self.entries)
+        """The `id:qty+id:qty` text of the split, in seller-id order."""
+        return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
 
 
-def _summary(fills: Iterable[tuple[str, int]]) -> str:
-    """The `id:qty+id:qty` text of a split, (seller id, quantity) in id order."""
-    return "+".join(f"{seller_id}:{quantity}" for seller_id, quantity in fills)
+# every demand's split in one table, as `FairPriceCurve` describes
+Fills = tuple[Sequence[int], list[str], list[int], list[Cents]]
 
 
 def _build_allocation(
@@ -211,33 +204,73 @@ def _price_tables(
     return flat, caps, offsets
 
 
-def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> list[Cents]:
-    """Total cost of the greedy fill for every demand 1..q_cap, in one sweep.
+def _greedy_takes(
+    flat: np.ndarray, caps: np.ndarray, offsets: np.ndarray, q_cap: int, step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The greedy fill of demands 1..q_cap as (rank, take) blocks of `step` demands.
+
+    At demand q a seller covers C = min(q, capacity); a stable argsort on
+    the price at C ranks the sellers, so ties go to the lower id as in
+    `greedy_allocation`; a cumsum of the ranked C, clipped to each C, gives
+    take, the units drawn from each seller in rank order.
+    """
+    for lo in range(1, q_cap + 1, step):
+        q = np.arange(lo, min(lo + step, q_cap + 1), dtype=np.int64)[:, None]
+        rank = np.argsort(flat[offsets + np.minimum(q, caps)], axis=1, kind="stable")
+        cover = np.minimum(q, caps[rank])
+        yield rank, np.clip(q - (np.cumsum(cover, axis=1) - cover), 0, cover)
+
+
+def _fills_of(
+    blocks: Iterable[np.ndarray], ids: Sequence[str], flat: np.ndarray, offsets: np.ndarray
+) -> Fills:
+    """The fills of blocks of demand rows, each row the units per seller in id order."""
+    names = np.array(ids, dtype=object)
+    starts, fill_ids, quantities, prices = [0], [], [], []
+    for block in blocks:
+        filled = block != 0
+        demand, used = filled.nonzero()  # demand-major, ids ascending within a demand
+        x = block[demand, used]
+        starts += (np.cumsum(np.count_nonzero(filled, axis=1)) + starts[-1]).tolist()
+        fill_ids += names[used].tolist()
+        quantities += x.tolist()
+        prices += flat[offsets[used] + x].tolist()
+    return starts, fill_ids, quantities, prices
+
+
+def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], Callable[[], Fills]]:
+    """Total cost of the greedy fill for every demand 1..q_cap, and its fills.
 
     The sweep reads the price tables of the sellers with stock, in id order,
-    laid end to end.  At demand q a seller covers C = min(q, capacity); a
-    stable argsort on the price at C ranks the sellers, so ties go to the
-    lower id as in `greedy_allocation`; a cumsum of the ranked C, clipped to
-    each C, gives the fills; the cost is the sum of take * price(take).
-    Demands come in blocks of at most _DP_BLOCK_CELLS (demand, seller)
-    cells.  The arithmetic is int64 when sum(capacity * price(1)) fits and
-    Python ints otherwise, so no cost scale is refused.
+    laid end to end, and runs `_greedy_takes` over blocks of at most
+    _DP_BLOCK_CELLS (demand, seller) cells; a demand's cost is the sum of
+    take * price(take).  The arithmetic is int64 when sum(capacity *
+    price(1)) fits and Python ints otherwise, so no cost scale is refused.
+    The fills run the same sweep again when first read, so a curve keeps
+    only its price tables, not a take per (demand, seller).
     """
     usable = sorted((s for s in sellers if s.capacity(q_cap) > 0), key=lambda s: s.id)
     if not usable:
-        return []
+        return [], lambda: ([0], [], [], [])
     cost_bound = sum(s.capacity(q_cap) * s.curve.price_at(1) for s in usable)
     dtype = np.int64 if cost_bound < (1 << 63) else object
     flat, caps, offsets = _price_tables(usable, q_cap, dtype)
     step = max(1, _DP_BLOCK_CELLS // len(usable))
     costs: list[Cents] = []
-    for lo in range(1, q_cap + 1, step):
-        q = np.arange(lo, min(lo + step, q_cap + 1), dtype=np.int64)[:, None]
-        rank = np.argsort(flat[offsets + np.minimum(q, caps)], axis=1, kind="stable")
-        cover = np.minimum(q, caps[rank])
-        take = np.clip(q - (np.cumsum(cover, axis=1) - cover), 0, cover)
+    for rank, take in _greedy_takes(flat, caps, offsets, q_cap, step):
         costs += (take * flat[offsets[rank] + take]).sum(axis=1).tolist()
-    return costs
+
+    @cache
+    def fills() -> Fills:
+        def by_id() -> Iterator[np.ndarray]:  # each take put back in id order
+            for rank, take in _greedy_takes(flat, caps, offsets, q_cap, step):
+                block = np.empty_like(take)
+                np.put_along_axis(block, rank, take, axis=1)
+                yield block
+
+        return _fills_of(by_id(), [s.id for s in usable], flat, offsets)
+
+    return costs, fills
 
 
 def _check_exact_scale(sellers: Sequence[Seller], q_max: int) -> None:
@@ -327,22 +360,19 @@ def _dp_tables(
     return key, choices, ordered, width, prices, offsets
 
 
-def _exact_splits(
+def _exact_fills(
     choices: list[np.ndarray],
     ordered: Sequence[Seller],
     prices: np.ndarray,
     offsets: np.ndarray,
     n: int,
-) -> tuple[Callable[[int, Cents], Allocation], Callable[[], list[str]]]:
-    """The split source and the summaries of one exact curve, from one backward pass.
+) -> Callable[[], Fills]:
+    """The fills of one exact curve, from one backward pass over its DP choices.
 
-    The first read walks the choice arrays of the sellers with stock once
-    for all demands 0..n together, sellers in reverse id order, each step
-    one gather x = choice[remaining] and remaining -= x.  The walk is
-    memoized as a (sellers, n + 1) int32 matrix, one column per demand.  The
-    split of demand q is column q's nonzero entries, in id order, priced
-    from the tables the DP sweep read; the summaries take every column's
-    nonzero entries in one pass, demand by demand, and build no `Allocation`.
+    The walk takes the choice arrays of the sellers with stock for demands
+    0..n together, sellers in reverse id order, each step one gather x =
+    choice[remaining] and remaining -= x, into a (sellers, n + 1) matrix
+    whose columns 1..n are the demands' quantities.
     """
     stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
     stocked_choices = [choices[i] for i in stocked]
@@ -350,35 +380,16 @@ def _exact_splits(
     stocked_offsets = offsets[stocked]
 
     @cache
-    def walk() -> np.ndarray:
-        quantities = np.empty((len(stocked_choices), n + 1), dtype=np.int32)
+    def fills() -> Fills:
+        walked = np.empty((len(stocked_choices), n + 1), dtype=np.int32)
         remaining = np.arange(n + 1, dtype=np.intp)  # the index type: no cast per gather
-        for choice, x in zip(reversed(stocked_choices), quantities[::-1]):
+        for choice, x in zip(reversed(stocked_choices), walked[::-1]):
             x[:] = choice[remaining]
             remaining -= x
         assert not remaining.any(), "the DP choices must cover every demand"
-        return quantities
+        return _fills_of([walked[:, 1:].T], ids, prices, stocked_offsets)  # row q - 1 is demand q
 
-    def split(q: int, cost: Cents) -> Allocation:
-        column = walk()[:, q]
-        used = column.nonzero()[0]
-        x = column[used]
-        fills = zip(
-            [ids[j] for j in used.tolist()],
-            x.tolist(),
-            prices[stocked_offsets[used] + x].tolist(),
-        )
-        return _build_allocation(fills, q, cost)
-
-    def summaries() -> list[str]:
-        by_demand = walk()[:, 1:].T  # row q - 1 holds demand q's split
-        demand, used = by_demand.nonzero()  # demand-major, ids ascending within a demand
-        quantities = by_demand[demand, used].tolist()
-        fills = zip(demand.tolist(), [ids[j] for j in used.tolist()], quantities)
-        # every demand 1..n has a split, so each is one group, in order
-        return [_summary(f[1:] for f in group) for _, group in groupby(fills, itemgetter(0))]
-
-    return split, summaries
+    return fills
 
 
 def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -386,9 +397,8 @@ def optimal_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
 
     Exact dynamic program, O(n * q * max availability), or O(n * q) when no
     seller has a stock limit; ties resolved toward fewest sellers used, then
-    lexicographically smallest seller ids.  The
-    split is point q of the exact fair price curve: a point does not depend
-    on how far the curve reaches.
+    lexicographically smallest seller ids.  The split is point q of the exact
+    fair price curve: a point does not depend on how far the curve reaches.
     """
     _check_request(sellers, q)
     return fair_price_curve(sellers, q).allocation(q)
@@ -410,30 +420,28 @@ class FairPriceCurve:
     which case the sweep stops at the requested q_max).  Unlike a single
     seller's curve this one may be non-monotone: once the cheapest seller's
     stock is exhausted the next allocation mixes in a pricier supplier.
-    `_split(q, cost)`, the curve's one split source, builds the `Allocation`
-    behind demand q: the `_exact_splits` walk, the envelope, or the greedy fill.
+    `_fills()`, cached, gives every demand's split as one table (starts,
+    ids, quantities, prices): the fills run demand by demand, ids ascending
+    within a demand, and demand q's are entries starts[q - 1] to starts[q].
     """
 
     points: tuple[FairPricePoint, ...]
     q_feasible_max: int | None
-    _split: Callable[[int, Cents], Allocation] = field(compare=False, repr=False)
-    _summaries: Callable[[], list[str]] | None = field(default=None, compare=False, repr=False)
+    _fills: Callable[[], Fills] = field(compare=False, repr=False)
 
     def allocation(self, q: int) -> Allocation:
-        """The split behind demand q, built afresh from the curve's split source."""
+        """The split behind demand q, built afresh from the curve's fills."""
         self.price_at(q)  # refuses a demand off the curve
-        return self._split(q, self.points[q - 1].cost_cents)
+        starts, ids, quantities, prices = self._fills()
+        lo, hi = starts[q - 1], starts[q]
+        fills = zip(ids[lo:hi], quantities[lo:hi], prices[lo:hi])
+        return _build_allocation(fills, q, self.points[q - 1].cost_cents)
 
     def summaries(self) -> list[str]:
-        """Every point's `Allocation.summary()` text in demand order, in one pass.
-
-        An exact DP curve reads its walked splits and an envelope curve its
-        one seller per demand, so neither builds an `Allocation`; a greedy
-        curve reads each demand's allocation.
-        """
-        if self._summaries is None:
-            return [self.allocation(point.q).summary() for point in self.points]
-        return self._summaries()
+        """Every point's `Allocation.summary()` text in demand order, with no `Allocation` built."""
+        starts, ids, quantities, _ = self._fills()
+        text = [f"{seller_id}:{x}" for seller_id, x in zip(ids, quantities)]
+        return ["+".join(text[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
     def price_at(self, q: int) -> Fraction:
         _check_quantity(q)
@@ -455,12 +463,9 @@ def fair_price_curve(
 ) -> FairPriceCurve:
     """Sweep demands 1..q_max and record the total cost and price per demand.
 
-    Each method prices every demand from one sweep over the sellers' price
-    tables.  When no seller has a stock limit both methods read
-    `lower_envelope`; otherwise the exact method runs the DP and the greedy
-    one `_greedy_costs`.  The curve builds a demand's `Allocation` only when
-    `FairPriceCurve.allocation` reads it: the first read on an exact DP
-    curve walks the choices back for every demand at once.
+    When no seller has a stock limit both methods read `lower_envelope`;
+    otherwise the exact method runs the DP and the greedy one
+    `_greedy_costs`.  The curve builds its fills on its first split read.
     """
     _check_quantity(q_max)
     if not sellers:
@@ -472,7 +477,6 @@ def fair_price_curve(
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
-    summaries: Callable[[], list[str]] | None = None
     if method == "exact":
         _check_exact_scale(sellers, q_cap)
     if all(s.availability is None for s in sellers):
@@ -483,24 +487,22 @@ def fair_price_curve(
         # the greedy fill takes every unit from that same seller.
         best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
         costs = [p.q * p.price_cents for p in best]
-        split = lambda q, cost: _build_allocation(
-            [(best[q - 1].seller_id, q, best[q - 1].price_cents)], q, cost
-        )
-        summaries = lambda: [_summary([(p.seller_id, p.q)]) for p in best]
+        fills = cache(lambda: (  # one fill per demand
+            range(len(best) + 1), [p.seller_id for p in best], [p.q for p in best],
+            [p.price_cents for p in best],
+        ))
     elif method == "greedy":
-        market = tuple(sellers)
-        costs = _greedy_costs(market, q_cap)
-        split = lambda q, cost: greedy_allocation(market, q)
+        costs, fills = _greedy_costs(sellers, q_cap)
     else:
         key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
         # packed is cost*width + sellers used, so the cost is its quotient;
         # the curve ends before the first demand no split reaches
         costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-        split, summaries = _exact_splits(choices, ordered, prices, offsets, len(costs))
+        fills = _exact_fills(choices, ordered, prices, offsets, len(costs))
     points = tuple(
         FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
     )
-    return FairPriceCurve(points, feasible_max, split, summaries)
+    return FairPriceCurve(points, feasible_max, fills)
 
 
 @dataclass(frozen=True)

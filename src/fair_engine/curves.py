@@ -188,12 +188,6 @@ class Envelope:
     points: tuple[EnvelopePoint, ...]
     segments: tuple[EnvelopeSegment, ...]
 
-    def price_at(self, q: int) -> Cents:
-        _check_quantity(q)
-        if q > len(self.points):
-            raise ValueError(f"quantity {q} beyond envelope range 1..{len(self.points)}")
-        return self.points[q - 1].price_cents
-
 
 def lower_envelope(sellers: Sequence[tuple[str, PriceCurve]], q_max: int) -> Envelope:
     """Compute the best single-seller price for every quantity 1..q_max.

@@ -130,7 +130,7 @@ def parse_seller_rows(rows: Iterable[Sequence[str]], source: str = "<curves>") -
 
 
 def read_sellers_csv(path: str) -> list[Seller]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_seller_rows(csv.reader(fh), source=path)
 
 
@@ -289,11 +289,11 @@ class ExperimentConfig:
 def read_experiment_config(path: str) -> ExperimentConfig:
     """Parse a `key = value` config file (# comments allowed).
 
-    Each error names the offending key and the line it was set on; keys
-    left out keep the `ExperimentConfig` defaults.
+    Each error names the offending key and the line it was set on, the
+    second for a key set twice; keys left out keep the defaults.
     """
     lines: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -301,7 +301,10 @@ def read_experiment_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ParseError(path, line_no, "expected `key = value`")
             key, _, value = line.partition("=")
-            lines[key.strip().lower()] = (line_no, value.strip())
+            key = key.strip().lower()
+            if key in lines:
+                raise ParseError(path, line_no, f"{key}: set again (first on line {lines[key][0]})")
+            lines[key] = (line_no, value.strip())
 
     fields: dict[str, object] = {}
     for key, (line_no, value) in lines.items():
@@ -442,7 +445,7 @@ def read_scenario(path: str) -> Scenario:
     Every error is reported at line 1 and names the part of the file
     being read (`config: `, `sellers[i]: `, `events[i]: `, `what_if[i]: `).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

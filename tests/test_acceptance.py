@@ -13,8 +13,6 @@ from fixtures import random_small_instances, raw_parameter_draws
 from oracles import brute_force_min_cost, first_minimum
 
 from fair_engine.allocation import (
-    Allocation,
-    AllocationEntry,
     FairPriceCurve,
     FairPricePoint,
     Seller,
@@ -78,7 +76,7 @@ def test_criterion_03_unlimited_fair_curve_equals_envelope():
     curve = fair_price_curve(sellers, 200)
     envelope = lower_envelope([(s.id, s.curve) for s in sellers], 200)
     for point in curve.points:
-        assert point.price_cents == envelope.price_at(point.q)
+        assert point.price_cents == envelope.points[point.q - 1].price_cents
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert len(curve.points) == 200
@@ -131,20 +129,14 @@ def test_criterion_05_lowest_demand_tie_break():
             prices.extend([level] * rng.randint(1, 6))
             level = max(1, level + rng.randint(-400, 150))
         prices = prices[:40]
-        points, allocs = [], []
-        for q, price in enumerate(prices, start=1):
-            entry = AllocationEntry(seller_id="X", quantity=q, unit_price_cents=price)
-            allocs.append(
-                Allocation(
-                    entries=(entry,),
-                    total_quantity=q,
-                    total_cost_cents=q * price,
-                    fair_unit_price_cents=Fraction(price),
-                )
-            )
-            points.append(FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price)))
+        points = [
+            FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price))
+            for q, price in enumerate(prices, start=1)
+        ]
         curve = FairPriceCurve(
-            points=tuple(points), q_feasible_max=40, _split=lambda q, cost: allocs[q - 1]
+            points=tuple(points),
+            q_feasible_max=40,
+            _fills=lambda: (range(41), ["X"] * 40, list(range(1, 41)), prices),
         )
         best = optimal_demand(curve)
         expected_q, expected_price = first_minimum(prices)

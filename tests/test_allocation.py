@@ -27,8 +27,6 @@ from oracles import (
 
 from fair_engine import allocation as allocation_mod
 from fair_engine.allocation import (
-    Allocation,
-    AllocationEntry,
     FairPriceCurve,
     FairPricePoint,
     InfeasibleDemandError,
@@ -176,7 +174,7 @@ class TestFairPriceCurve:
         env = lower_envelope([(s.id, s.curve) for s in sellers], 120)
         assert curve.q_feasible_max is None
         for point in curve.points:
-            assert point.price_cents == env.price_at(point.q)
+            assert point.price_cents == env.points[point.q - 1].price_cents
         assert curve.is_monotone_non_increasing()
 
     def test_single_seller_truncated_at_availability(self):
@@ -208,7 +206,7 @@ class TestFairPriceCurve:
             curve = fair_price_curve(inst.sellers, inst.demand)
             env = lower_envelope([(s.id, s.curve) for s in inst.sellers], inst.demand)
             for point in curve.points:
-                assert point.price_cents >= env.price_at(point.q)
+                assert point.price_cents >= env.points[point.q - 1].price_cents
                 best = env.points[point.q - 1]
                 best_seller = next(s for s in inst.sellers if s.id == best.seller_id)
                 if best_seller.capacity(point.q) >= point.q:
@@ -285,20 +283,50 @@ class TestFairPriceCurve:
         assert allocation == optimal_allocation(sellers, 3)
 
     def test_greedy_prices_are_read_without_building_allocations(self, monkeypatch):
-        calls = []
+        calls, sweeps = [], []
         greedy = allocation_mod.greedy_allocation
         monkeypatch.setattr(
             allocation_mod, "greedy_allocation",
             lambda sellers, q: calls.append(q) or greedy(sellers, q),
         )
+        blocks = allocation_mod._greedy_takes
+        monkeypatch.setattr(
+            allocation_mod, "_greedy_takes", lambda *args: sweeps.append(1) or blocks(*args)
+        )
         sellers = two_capped_sellers()
         curve = fair_price_curve(sellers, 4, method="greedy")
         optimal_demand(curve)
         curve.price_at(3)
-        assert calls == []
+        assert len(sweeps) == 1  # the build's cost sweep
+        assert curve._fills.cache_info().currsize == 0
         allocation = curve.allocation(3)
-        assert calls == [3]
-        assert allocation == greedy(sellers, 3)
+        assert len(sweeps) == 2  # the first split read sweeps once more
+        texts = curve.summaries()
+        later = [curve.allocation(point.q) for point in curve.points]
+        assert len(sweeps) == 2
+        assert curve._fills.cache_info().misses == 1
+        assert calls == []
+        assert allocation == later[2] == greedy(sellers, 3)
+        assert texts == [greedy(sellers, point.q).summary() for point in curve.points]
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("unlimited", [False, True])
+    def test_fills_are_built_once_on_the_first_split_read(self, unlimited, method):
+        # a capped market runs the DP or the greedy sweep, an unlimited one the envelope
+        sellers = [replace(s, availability=None) if unlimited else s for s in two_capped_sellers()]
+        curve = fair_price_curve(sellers, 4, method=method)
+        optimal_demand(curve)
+        curve.price_at(3)
+        assert curve._fills.cache_info().currsize == 0
+        texts = curve.summaries()
+        allocations = [curve.allocation(point.q) for point in reversed(curve.points)][::-1]
+        assert curve._fills.cache_info().misses == 1
+        assert texts == [allocation.summary() for allocation in allocations]
+        if unlimited:
+            envelope = lower_envelope([(s.id, s.curve) for s in sellers], 4)
+            assert [a.entries for a in allocations] == [
+                ((p.seller_id, p.q, p.price_cents),) for p in envelope.points
+            ]
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_a_split_off_the_curve_is_refused(self, method):
@@ -352,20 +380,15 @@ class TestFairPriceCurve:
 
 def _curve_from_prices(prices_cents):
     """Assemble a FairPriceCurve literal for optimum-scan tests."""
-    points, allocs = [], []
-    for q, price in enumerate(prices_cents, start=1):
-        entry = AllocationEntry(seller_id="X", quantity=q, unit_price_cents=price)
-        allocs.append(
-            Allocation(
-                entries=(entry,),
-                total_quantity=q,
-                total_cost_cents=q * price,
-                fair_unit_price_cents=Fraction(price),
-            )
-        )
-        points.append(FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price)))
+    points = [
+        FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price))
+        for q, price in enumerate(prices_cents, start=1)
+    ]
+    n = len(points)
     return FairPriceCurve(
-        points=tuple(points), q_feasible_max=len(points), _split=lambda q, cost: allocs[q - 1]
+        points=tuple(points),
+        q_feasible_max=n,
+        _fills=lambda: (range(n + 1), ["X"] * n, list(range(1, n + 1)), list(prices_cents)),
     )
 
 
@@ -402,7 +425,7 @@ class TestOptimalDemand:
 
     def test_rejects_empty_curve(self):
         with pytest.raises(ValueError):
-            optimal_demand(FairPriceCurve(points=(), q_feasible_max=0, _split=None))
+            optimal_demand(FairPriceCurve(points=(), q_feasible_max=0, _fills=None))
 
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=1, max_size=30)
@@ -415,7 +438,7 @@ class TestOptimalDemand:
                 FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
             ),
             q_feasible_max=None,
-            _split=None,
+            _fills=None,
         )
         prices = [Fraction(cost, q) for q, cost in enumerate(costs, start=1)]
         best = optimal_demand(curve)
@@ -495,12 +518,15 @@ def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
     sellers, q_max = market
     with mock.patch.object(allocation_mod, "_DP_BLOCK_CELLS", block_cells):
         curve = fair_price_curve(sellers, q_max, method="greedy")
+        texts = curve.summaries()
+        allocations = [curve.allocation(point.q) for point in curve.points]
     total = total_availability(sellers)
-    assert len(curve.points) == (q_max if total is None else min(q_max, total))
-    for point in curve.points:
+    assert len(curve.points) == len(texts) == (q_max if total is None else min(q_max, total))
+    for point, text, allocation in zip(curve.points, texts, allocations):
         expected = greedy_allocation(sellers, point.q)
         assert point.price_cents == expected.fair_unit_price_cents
-        assert curve.allocation(point.q) == expected
+        assert allocation == expected
+        assert text == expected.summary()
 
 
 @given(small_markets(unlimited=True), st.randoms(use_true_random=False))

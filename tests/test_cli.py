@@ -550,6 +550,14 @@ class TestExperiment:
         assert err.startswith(f"error: {cfg}:5: q_max: invalid literal")
         assert not out.exists()
 
+    def test_a_key_set_twice_exits_2_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_sellers = 4\nq_max = 10\n# again\nq_max = 20\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["experiment", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: q_max: set again (first on line 2)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, flags, message",
         [

@@ -180,8 +180,8 @@ class TestLowerEnvelope:
             (1, 4, "A"),
             (5, 10, "B"),
         ]
-        assert env.price_at(4) == 8500  # A at 85 beats B at 86
-        assert env.price_at(5) == 7800  # B at 78 beats A at 80
+        assert env.points[3].price_cents == 8500  # A at 85 beats B at 86
+        assert env.points[4].price_cents == 7800  # B at 78 beats A at 80
 
     def test_matches_per_q_minimum_brute_force(self):
         rng = random.Random(11)
@@ -189,7 +189,7 @@ class TestLowerEnvelope:
             sellers = [(f"S{i:02d}", _random_curve(rng)) for i in range(rng.randint(1, 8))]
             env = lower_envelope(sellers, 120)
             for q in range(1, 121):
-                assert env.price_at(q) == min(c.price_at(q) for _, c in sellers)
+                assert env.points[q - 1].price_cents == min(c.price_at(q) for _, c in sellers)
 
     def test_exhaustive_at_scale(self):
         # one large sweep: 50 sellers, every q up to 1000
@@ -197,7 +197,7 @@ class TestLowerEnvelope:
         sellers = [(f"S{i:02d}", _random_curve(rng)) for i in range(50)]
         env = lower_envelope(sellers, 1000)
         for q in range(1, 1001):
-            assert env.price_at(q) == min(c.price_at(q) for _, c in sellers)
+            assert env.points[q - 1].price_cents == min(c.price_at(q) for _, c in sellers)
 
     def test_envelope_is_monotone_non_increasing(self):
         rng = random.Random(12)
@@ -214,7 +214,7 @@ class TestLowerEnvelope:
             base = lower_envelope(sellers, 80)
             grown = lower_envelope(extra, 80)
             for q in range(1, 81):
-                assert grown.price_at(q) <= base.price_at(q)
+                assert grown.points[q - 1].price_cents <= base.points[q - 1].price_cents
 
     def test_ties_go_to_lowest_seller_id(self):
         curve = linear_curve(50, 0, 50)

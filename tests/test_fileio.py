@@ -90,6 +90,11 @@ class TestSellerCsv:
         with pytest.raises(ParseError, match=re.escape("x.csv:1: position needs both x and y")):
             parse_seller_rows(rows, source="x.csv")
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, curves_file):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + CURVES_CSV.encode("utf-8"))
+        assert read_sellers_csv(str(path)) == read_sellers_csv(curves_file)
+
     def test_a_position_left_out_is_the_origin(self):
         for row in (["A", "linear", "10", "1", "5", "3"], ["A", "linear", "10", "1", "5", "3", "", ""]):
             (seller,) = parse_seller_rows([row])
@@ -188,6 +193,11 @@ class TestExperimentConfig:
         assert config.n_sellers == 20 and config.q_max == 200
         assert config.availabilities == (None,)
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xef\xbb\xbfn_sellers = 5\nseed = 3\n")
+        assert read_experiment_config(str(path)) == ExperimentConfig(n_sellers=5, seed=3)
+
     def test_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("sellers = 3\n", encoding="utf-8")
@@ -216,6 +226,7 @@ class TestExperimentConfig:
             ("n_sellers = 0\n", 1, "n_sellers: must be at least 1, got 0"),
             ("seed = 1\nq_max = 0\n", 2, "q_max: must be at least 1, got 0"),
             ("# note\nseed = -1\n", 2, "seed: must be at least 0, got -1"),
+            ("q_max = 10\nseed = 1\nQ_max = 20\n", 3, "q_max: set again (first on line 1)"),
         ],
     )
     def test_errors_name_the_key_and_its_line(self, tmp_path, text, line, message):

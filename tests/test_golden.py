@@ -41,16 +41,15 @@ CASES = {
 }
 
 
-def run_case(argv: list[str], out: Path) -> tuple[int, dict[str, bytes]]:
-    """Run one command; return its exit code and written files by name."""
+def run_case(argv: list[str], out: Path, data: Path = GOLDEN) -> tuple[int, dict[str, bytes]]:
+    """Run one command on the inputs in `data`; return its exit code and written files by name."""
     out.mkdir(parents=True, exist_ok=True)
-    code = main([a.format(data=GOLDEN, out=out) for a in argv])
+    code = main([a.format(data=data, out=out) for a in argv])
     return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_bytes_match_golden(case, tmp_path, capsys):
-    code, written = run_case(CASES[case], tmp_path / "out")
+def check_against_golden(case: str, out: Path, capsys, data: Path = GOLDEN) -> None:
+    code, written = run_case(CASES[case], out, data)
     captured = capsys.readouterr()
     assert code == 0
     expected_dir = EXPECTED / case
@@ -58,5 +57,20 @@ def test_output_bytes_match_golden(case, tmp_path, capsys):
     written["stdout.txt"] = captured.out.encode("utf-8")
     written["stderr.txt"] = captured.err.encode("utf-8")
     assert sorted(written) == sorted(expected)
-    for name, data in expected.items():
-        assert written[name] == data, f"{case}/{name} differs from the golden copy"
+    for name, content in expected.items():
+        assert written[name] == content, f"{case}/{name} differs from the golden copy"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_match_golden(case, tmp_path, capsys):
+    check_against_golden(case, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_byte_order_mark_on_every_input_changes_no_output_byte(case, tmp_path, capsys):
+    # editors on some platforms start a UTF-8 file with U+FEFF; the readers drop it
+    data = tmp_path / "bom"
+    data.mkdir()
+    for source in GOLDEN.glob("*.*"):
+        (data / source.name).write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    check_against_golden(case, tmp_path / "out", capsys, data)

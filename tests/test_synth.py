@@ -89,7 +89,7 @@ class TestRunExperiment:
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], 60)
         for point in run.curve_exact.points:
-            assert point.price_cents == env.price_at(point.q)
+            assert point.price_cents == env.points[point.q - 1].price_cents
         assert not run.nonmonotone
 
     def test_same_population_across_availabilities(self):
@@ -131,7 +131,7 @@ class TestRunExperiment:
         sellers = generate_sellers(spec)
         env = lower_envelope([(s.id, s.curve) for s in sellers], q_stock)
         for point in run.curve_exact.points:
-            assert point.price_cents == env.price_at(point.q)
+            assert point.price_cents == env.points[point.q - 1].price_cents
 
     def test_stock_level_attains_the_optimum(self):
         # with homogeneous stock Q the demand q=Q is always a global minimum
