@@ -16,7 +16,7 @@ which is what the fair-level price curve needs.
 
 A fair price curve of either method prices every demand from one sweep
 over the sellers' memoized integer price tables: the lower envelope for
-both methods when no seller has a stock limit, else the DP or a blocked
+both methods when no seller with stock has a limit, else the DP or a blocked
 rank-and-fill.  Its splits are one fills table for all demands, built on
 the first split read: the DP choices walked back, the envelope's sellers,
 or the greedy sweep run again.
@@ -139,24 +139,26 @@ def _build_allocation(
     )
 
 
-def _sellers_by_id(sellers: Sequence[Seller]) -> dict[str, Seller]:
-    by_id: dict[str, Seller] = {}
-    for seller in sellers:
-        if seller.id in by_id:
-            raise ValueError(f"duplicate seller id {seller.id}")
-        by_id[seller.id] = seller
-    return by_id
-
-
-def _check_request(sellers: Sequence[Seller], q: int) -> None:
-    """Reject a bad demand, an empty or ambiguous seller set, or a shortfall."""
-    _check_quantity(q)
+def _stocked(sellers: Sequence[Seller]) -> list[Seller]:
+    """The sellers with stock in id order; an empty set or a repeated id is refused."""
     if not sellers:
         raise ValueError("no sellers to allocate from")
-    _sellers_by_id(sellers)
+    seen: set[str] = set()
+    for seller in sellers:
+        if seller.id in seen:
+            raise ValueError(f"duplicate seller id {seller.id}")
+        seen.add(seller.id)
+    return sorted((s for s in sellers if s.availability != 0), key=lambda s: s.id)
+
+
+def _check_request(sellers: Sequence[Seller], q: int) -> list[Seller]:
+    """Reject a bad demand, an empty or ambiguous seller set, or a shortfall; give `_stocked`."""
+    _check_quantity(q)
+    stocked = _stocked(sellers)
     available = total_availability(sellers)
     if available is not None and q > available:
         raise InfeasibleDemandError(q, available)
+    return stocked
 
 
 def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
@@ -167,10 +169,8 @@ def greedy_allocation(sellers: Sequence[Seller], q: int) -> Allocation:
     by seller id.  Each seller in rank order is drained to capacity until
     the demand is met.
     """
-    _check_request(sellers, q)
-
-    usable = [s for s in sellers if s.capacity(q) > 0]
-    ranked = sorted(usable, key=lambda s: (s.curve.price_at(s.capacity(q)), s.id))
+    stocked = _check_request(sellers, q)
+    ranked = sorted(stocked, key=lambda s: (s.curve.price_at(s.capacity(q)), s.id))
     remaining = q
     fills: list[tuple[str, int, Cents]] = []
     for seller in ranked:
@@ -241,7 +241,7 @@ def _fills_of(
 def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], Callable[[], Fills]]:
     """Total cost of the greedy fill for every demand 1..q_cap, and its fills.
 
-    The sweep reads the price tables of the sellers with stock, in id order,
+    The sweep reads the price tables of the `_stocked` sellers, in id order,
     laid end to end, and runs `_greedy_takes` over blocks of at most
     _DP_BLOCK_CELLS (demand, seller) cells; a demand's cost is the sum of
     take * price(take).  The arithmetic is int64 when sum(capacity *
@@ -249,13 +249,10 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], C
     The fills run the same sweep again when first read, so a curve keeps
     only its price tables, not a take per (demand, seller).
     """
-    usable = sorted((s for s in sellers if s.capacity(q_cap) > 0), key=lambda s: s.id)
-    if not usable:
-        return [], lambda: ([0], [], [], [])
-    cost_bound = sum(s.capacity(q_cap) * s.curve.price_at(1) for s in usable)
+    cost_bound = sum(s.capacity(q_cap) * s.curve.price_at(1) for s in sellers)
     dtype = np.int64 if cost_bound < (1 << 63) else object
-    flat, caps, offsets = _price_tables(usable, q_cap, dtype)
-    step = max(1, _DP_BLOCK_CELLS // len(usable))
+    flat, caps, offsets = _price_tables(sellers, q_cap, dtype)
+    step = max(1, _DP_BLOCK_CELLS // len(sellers))
     costs: list[Cents] = []
     for rank, take in _greedy_takes(flat, caps, offsets, q_cap, step):
         costs += (take * flat[offsets[rank] + take]).sum(axis=1).tolist()
@@ -268,7 +265,7 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], C
                 np.put_along_axis(block, rank, take, axis=1)
                 yield block
 
-        return _fills_of(by_id(), [s.id for s in usable], flat, offsets)
+        return _fills_of(by_id(), [s.id for s in sellers], flat, offsets)
 
     return costs, fills
 
@@ -307,8 +304,8 @@ def _dp_tables(
     lexicographically smallest seller ids.  A candidate built on an
     unreachable key stays above _INF, so it never wins.
 
-    A seller with no stock gets a shared read-only choice array of zeros
-    and no blocks.  The caller has passed `_check_exact_scale`.
+    A seller without stock gets a choice array of zeros, but a curve build
+    passes only `_stocked` sellers.  The caller has passed `_check_exact_scale`.
 
     Returns the final keys, one choice array per seller in id order, the
     ordered sellers, the key width, and the price tables the sweep read as
@@ -321,16 +318,11 @@ def _dp_tables(
     key[0] = 0
     rows = np.arange(q_max + 1)
     step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
-    no_stock = np.zeros(q_max + 1, dtype=np.int32)  # every seller without stock shares it
-    no_stock.flags.writeable = False
     prices, caps, offsets = _price_tables(ordered, q_max)
     # one candidate buffer for every block, so only one block is held at a time
     block = np.empty((q_max + 1, min(step, int(caps.max()) + 1)), dtype=np.int64)
     choices: list[np.ndarray] = []
     for x_max, offset in zip(caps.tolist(), offsets.tolist()):
-        if x_max == 0:  # a seller with no stock leaves every key as it was
-            choices.append(no_stock)
-            continue
         x = np.arange(x_max + 1, dtype=np.int64)
         delta = x * prices[offset : offset + x_max + 1] * width + 1
         delta[0] = 0  # x = 0 uses no seller
@@ -369,25 +361,22 @@ def _exact_fills(
 ) -> Callable[[], Fills]:
     """The fills of one exact curve, from one backward pass over its DP choices.
 
-    The walk takes the choice arrays of the sellers with stock for demands
+    The walk takes the choice arrays of the `_stocked` sellers for demands
     0..n together, sellers in reverse id order, each step one gather x =
     choice[remaining] and remaining -= x, into a (sellers, n + 1) matrix
     whose columns 1..n are the demands' quantities.
     """
-    stocked = [i for i, seller in enumerate(ordered) if seller.availability != 0]
-    stocked_choices = [choices[i] for i in stocked]
-    ids = [ordered[i].id for i in stocked]
-    stocked_offsets = offsets[stocked]
+    ids = [seller.id for seller in ordered]
 
     @cache
     def fills() -> Fills:
-        walked = np.empty((len(stocked_choices), n + 1), dtype=np.int32)
+        walked = np.empty((len(choices), n + 1), dtype=np.int32)
         remaining = np.arange(n + 1, dtype=np.intp)  # the index type: no cast per gather
-        for choice, x in zip(reversed(stocked_choices), walked[::-1]):
+        for choice, x in zip(reversed(choices), walked[::-1]):
             x[:] = choice[remaining]
             remaining -= x
         assert not remaining.any(), "the DP choices must cover every demand"
-        return _fills_of([walked[:, 1:].T], ids, prices, stocked_offsets)  # row q - 1 is demand q
+        return _fills_of([walked[:, 1:].T], ids, prices, offsets)  # row q - 1 is demand q
 
     return fills
 
@@ -463,38 +452,39 @@ def fair_price_curve(
 ) -> FairPriceCurve:
     """Sweep demands 1..q_max and record the total cost and price per demand.
 
-    When no seller has a stock limit both methods read `lower_envelope`;
+    Every sweep sees the `_stocked` sellers; with none the curve is empty.
+    When none of them has a stock limit both methods read `lower_envelope`;
     otherwise the exact method runs the DP and the greedy one
     `_greedy_costs`.  The curve builds its fills on its first split read.
     """
     _check_quantity(q_max)
-    if not sellers:
-        raise ValueError("no sellers to build a price curve from")
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown allocation method {method!r}")
-    _sellers_by_id(sellers)
+    stocked = _stocked(sellers)
 
     feasible_max = total_availability(sellers)
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
     if method == "exact":
         _check_exact_scale(sellers, q_cap)
-    if all(s.availability is None for s in sellers):
+    if not stocked:  # no demand is feasible
+        costs, fills = [], lambda: ([0], [], [], [])
+    elif all(s.availability is None for s in stocked):
         # Without stock limits one seller always suffices: prices are
         # non-increasing, so a*pA(a) + b*pB(b) >= (a+b)*min(pA(a+b),
         # pB(a+b)), and a split uses more sellers.  Among the cheapest,
         # the DP's tie-break and the envelope both pick the lowest id, and
         # the greedy fill takes every unit from that same seller.
-        best = lower_envelope([(s.id, s.curve) for s in sellers], q_cap).points
+        best = lower_envelope([(s.id, s.curve) for s in stocked], q_cap).points
         costs = [p.q * p.price_cents for p in best]
         fills = cache(lambda: (  # one fill per demand
             range(len(best) + 1), [p.seller_id for p in best], [p.q for p in best],
             [p.price_cents for p in best],
         ))
     elif method == "greedy":
-        costs, fills = _greedy_costs(sellers, q_cap)
+        costs, fills = _greedy_costs(stocked, q_cap)
     else:
-        key, choices, ordered, width, prices, offsets = _dp_tables(sellers, q_cap)
+        key, choices, ordered, width, prices, offsets = _dp_tables(stocked, q_cap)
         # packed is cost*width + sellers used, so the cost is its quotient;
         # the curve ends before the first demand no split reaches
         costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]

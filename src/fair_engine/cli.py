@@ -24,7 +24,6 @@ from .allocation import (
 )
 from .curves import lower_envelope
 from .fair import FairStatus, LifecycleError, SellerLedger, open_fair
-from .fileio import ParseError
 from .geo import shipping_plan
 from .money import frac_str
 from .synth import generate_sellers, run_experiment
@@ -285,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     command = _COMMANDS[args.command]
     try:
         return command(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InfeasibleDemandError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed input file; carries the offending line number."""
 
     def __init__(self, source: str, line: int, message: str):
@@ -434,6 +435,15 @@ _CONFIG_READERS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, refusing a key set twice, which `json` would let override."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {repeated!r} set twice in one object")
+    return obj
+
+
 def read_scenario(path: str) -> Scenario:
     """Parse a fair-simulation scenario (JSON).
 
@@ -447,9 +457,11 @@ def read_scenario(path: str) -> Scenario:
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:  # a ValueError with a line number
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:
+            raise ParseError(path, 1, str(exc)) from None
 
     where = ""
     try:

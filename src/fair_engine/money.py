@@ -76,9 +76,7 @@ def div_round_half_even(num: int, den: int) -> int:
 
 def cu_str(amount: Cents) -> str:
     """Render integer cents as a two-decimal CU string, e.g. 469 -> '4.69'."""
-    sign = "-" if amount < 0 else ""
-    whole, part = divmod(abs(amount), 100)
-    return f"{sign}{whole}.{part:02d}"
+    return _fixed_str(amount, 100, 2)
 
 
 def frac_str(value: Fraction | int, places: int = 4) -> str:

@@ -616,6 +616,10 @@ def test_only_a_market_with_stock_limits_runs_the_dp(monkeypatch):
     curve = fair_price_curve(unlimited, 20)
     assert [curve.allocation(q).summary() for q in (1, 2)] == ["A:1", "A:2"]
     assert curve.allocation(20).summary() == "B:20"
+    # capped sellers that have all sold out leave a market of unlimited ones
+    sold_out = [*unlimited, Seller("C", linear_curve(5, 0, 5), availability=0),
+                Seller("0", linear_curve(1, 0, 1), availability=0)]
+    assert fair_price_curve(sold_out, 20).summaries() == curve.summaries()
     mixed = [*unlimited, Seller("C", linear_curve(5, 0, 5), availability=3)]
     with pytest.raises(AssertionError, match="the DP ran"):
         fair_price_curve(mixed, 20)
@@ -788,6 +792,28 @@ def test_every_point_is_its_cost_over_q_and_its_split_costs_that(market):
             for point in curve.points:
                 assert point.price_cents == Fraction(point.cost_cents, point.q)
                 assert curve.allocation(point.q).total_cost_cents == point.cost_cents
+
+
+@settings(max_examples=15)
+@given(tabular_markets(), st.data())
+def test_adding_sellers_without_stock_changes_nothing(market, data):
+    # a seller without stock supplies no demand, wherever its id sorts; with
+    # every stock limit lifted, the sold-out sellers sit beside an envelope
+    sellers, q_max = market
+    slots = data.draw(st.lists(st.integers(-1, 40), min_size=1, max_size=8, unique=True))
+    empty = [replace(data.draw(tabular_sellers(f"S{i:02d}z")), availability=0) for i in slots]
+
+    def outcome(market_sellers, method):
+        try:
+            curve = fair_price_curve(market_sellers, q_max, method=method)
+        except ValueError as exc:
+            return str(exc)
+        splits = [curve.allocation(point.q) for point in curve.points]
+        return curve.points, curve.q_feasible_max, curve.summaries(), splits
+
+    for market_sellers in (sellers, [replace(s, availability=None) for s in sellers]):
+        for method in ("exact", "greedy"):
+            assert outcome([*market_sellers, *empty], method) == outcome(market_sellers, method)
 
 
 def summaries_are_the_allocation_summaries(sellers, q_max):

@@ -6,6 +6,7 @@ import json
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +341,18 @@ class TestFairSim:
         path.write_text(json.dumps({"product_id": "x"}), encoding="utf-8")
         assert main(["fair-sim", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_a_key_set_twice_exits_2_before_writing(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "data" / "golden" / "scenario_optimal.json"
+        text = golden.read_text(encoding="utf-8")
+        assert text.count('"margin": "0.05"') == 1
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"margin": "0.05"', '"margin": "0.05", "margin": "0.50"'),
+                        encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["fair-sim", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: key 'margin' set twice in one object\n"
+        assert not out.exists()
 
     def test_destinations_produce_a_shipping_plan(self, tmp_path):
         scenario = base_scenario(

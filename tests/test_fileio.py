@@ -296,6 +296,15 @@ class TestScenario:
         with pytest.raises(ParseError):
             read_scenario(str(path))
 
+    def test_rejects_a_key_set_twice_naming_it(self, tmp_path):
+        # json.load alone keeps the last value, so the second margin would win silently
+        text = json.dumps({**SCENARIO, "config": {"margin": "0.05"}})
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"margin": "0.05"', '"margin": "0.05", "margin": "0.50"'),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"scenario\.json:1: key 'margin' set twice"):
+            read_scenario(str(path))
+
     def test_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"product_id": "x"}), encoding="utf-8")

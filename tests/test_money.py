@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fair_engine.money import cents, frac_str, ratio, ratio_str
+from fair_engine.money import cents, cu_str, frac_str, ratio, ratio_str
 
 
 def reference_str(value: Fraction, places: int) -> str:
@@ -32,6 +32,11 @@ def reference_str(value: Fraction, places: int) -> str:
 )
 def test_ratio_str_rounds_once_half_to_even(value, places):
     assert ratio_str(value, places) == reference_str(value, places)
+
+
+@given(st.integers(-(10**42), 10**42) | st.integers(-1000, 1000))
+def test_cu_str_renders_cents_at_two_places(amount):
+    assert cu_str(amount) == reference_str(Fraction(amount, 100), 2)
 
 
 def test_rounding_is_exact_past_28_digits():
