@@ -24,15 +24,20 @@ from fair_engine.curves import TabularCurve
 from fair_engine.synth import PopulationSpec, generate_sellers
 
 
-def north_star() -> tuple[list[Seller], int]:
+def tabular_market(n: int, q_max: int) -> list[Seller]:
+    """n step-curve sellers, each cut three times below q_max, with stock drawn from 0..40."""
     rng = random.Random(2000)
     sellers = []
-    for i in range(200):
-        cuts = sorted(rng.sample(range(2, 2000), 3))
+    for i in range(n):
+        cuts = sorted(rng.sample(range(2, q_max), 3))
         prices = sorted(rng.sample(range(100, 50_000), 4), reverse=True)
         curve = TabularCurve(tuple(zip([1, *cuts], prices)))
         sellers.append(Seller(f"S{i:03d}", curve, rng.randint(0, 40)))
-    return sellers, 2000
+    return sellers
+
+
+def north_star() -> tuple[list[Seller], int]:
+    return tabular_market(200, 2000), 2000
 
 
 def lifecycle() -> tuple[list[Seller], int]:

@@ -273,10 +273,11 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], C
 def _check_exact_scale(sellers: Sequence[Seller], q_max: int) -> None:
     """Refuse an exact curve to q_max over the DP cell budget or the cost scale.
 
-    A DP sweep fills sum(capacity) * (q_max + 1) cells; one over the budget
-    is refused before any price is read.  Packed int64 keys need
-    sum(capacity * price(1)) * (sellers + 1) below 2**60.  Both refusals
-    hold whichever path then prices the curve.
+    `sellers` are the `_stocked` ones, the sellers a DP sweep sees.  The
+    sweep fills at most sum(capacity) * (q_max + 1) cells; one over the
+    budget is refused before any price is read.  Packed int64 keys need
+    sum(capacity * price(1)) * (sellers + 1), the key width, below 2**60.
+    Both refusals hold whichever path then prices the curve.
     """
     cells = sum(s.capacity(q_max) for s in sellers) * (q_max + 1)
     if cells > _DP_CELL_BUDGET:
@@ -295,17 +296,22 @@ def _dp_tables(
     """Min-cost DP over sellers for every demand 0..q_max in one sweep.
 
     State key packs (total cost in cents, sellers used) as cost*width+count
-    so one int64 comparison applies both criteria.  Each seller's
-    candidates key[q - x] + delta(x), x = 0..capacity, are laid out as a
-    (q, x) block and reduced with argmin, which keeps the smallest x among
-    equal keys; a later block of x replaces the running best only on strict
-    improvement.  That is the tie-break of scanning x upward: cheapest
-    first, then fewest sellers, then quantity pushed toward the
-    lexicographically smallest seller ids.  A candidate built on an
-    unreachable key stays above _INF, so it never wins.
+    so one int64 comparison applies both criteria.  The keys live reversed
+    in one padded buffer, flipped[q_max - i] = key[i] with _INF past q_max
+    for i < 0, so a seller's candidates for demand q, key[q - x] + delta(x),
+    are a run of it read upward plus delta(x) = x * price(x) * width + 1 (0
+    at x = 0), computed for every seller at once.  They are written as
+    contiguous (demand, x) rows and reduced with argmin, which keeps the
+    smallest x among equal keys; a later block of x replaces the running
+    best only on strict improvement.  That is the tie-break of scanning x
+    upward: cheapest first, then fewest sellers, then quantity pushed
+    toward the lexicographically smallest seller ids.
 
-    A seller without stock gets a choice array of zeros, but a curve build
-    passes only `_stocked` sellers.  The caller has passed `_check_exact_scale`.
+    After sellers 0..i the rows stop at min(q_max, their summed capacity):
+    a demand above is unreachable and keeps key _INF and choice 0, as its
+    candidates, _INF + delta, would give it.  A seller without stock gets a
+    choice array of zeros, but a curve build passes only `_stocked` sellers.
+    The caller has passed `_check_exact_scale`, so no key overflows.
 
     Returns the final keys, one choice array per seller in id order, the
     ordered sellers, the key width, and the price tables the sweep read as
@@ -314,42 +320,41 @@ def _dp_tables(
     """
     ordered = sorted(sellers, key=lambda s: s.id)
     width = len(ordered) + 1
-    key = np.full(q_max + 1, _INF, dtype=np.int64)
-    key[0] = 0
-    rows = np.arange(q_max + 1)
-    step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
     prices, caps, offsets = _price_tables(ordered, q_max)
+    deltas = (np.arange(len(prices)) - np.repeat(offsets, caps + 1)) * prices * width + 1
+    deltas[offsets] = 0  # x = 0 uses no seller
+    step = max(1, _DP_BLOCK_CELLS // (q_max + 1))
+    cap = int(caps.max())
+    span = min(step, cap + 1)
+    flipped = np.full(q_max + cap + span, _INF, dtype=np.int64)
+    flipped[q_max] = 0
+    # windows[j] is flipped[j : j + span], so row q of a block starts at j = q_max - q + lo
+    windows = np.lib.stride_tricks.sliding_window_view(flipped, span)
     # one candidate buffer for every block, so only one block is held at a time
-    block = np.empty((q_max + 1, min(step, int(caps.max()) + 1)), dtype=np.int64)
+    cells = np.empty((q_max + 1) * span, dtype=np.int64)
     choices: list[np.ndarray] = []
+    top = 0
     for x_max, offset in zip(caps.tolist(), offsets.tolist()):
-        x = np.arange(x_max + 1, dtype=np.int64)
-        delta = x * prices[offset : offset + x_max + 1] * width + 1
-        delta[0] = 0  # x = 0 uses no seller
-        padded = np.full(x_max + q_max + 1, _INF, dtype=np.int64)
-        padded[x_max:] = key  # padded[x_max + i] is key[i], _INF for i < 0
-        stride = padded.strides[0]
+        top = min(q_max, top + x_max)  # the highest reachable demand
+        rows = top + 1
+        choice = np.zeros(q_max + 1, dtype=np.int32)
         for lo in range(0, x_max + 1, step):
-            hi = min(lo + step, x_max + 1)
-            # shifted[q, k] is key[q - x] for x = lo + k
-            shifted = np.lib.stride_tricks.as_strided(
-                padded[x_max - lo :],
-                shape=(q_max + 1, hi - lo),
-                strides=(stride, -stride),
-                writeable=False,
-            )
-            cand = np.add(shifted, delta[lo:hi], out=block[:, : hi - lo])
+            w = min(step, x_max + 1 - lo)
+            shifted = windows[q_max - top + lo : q_max + lo + 1, :w][::-1]
+            cand = cells[: rows * w].reshape(rows, w)
+            np.add(shifted, deltas[offset + lo : offset + lo + w], out=cand)
             pick = cand.argmin(axis=1)
-            value = cand[rows, pick]
+            value = cells.take(pick + np.arange(0, rows * w, w))
             if lo == 0:
-                best, choice = value, pick.astype(np.int32)
+                best = value
+                choice[:rows] = pick
             else:
                 improves = value < best
                 best[improves] = value[improves]
-                choice[improves] = pick[improves] + lo
-        key = best
+                choice[:rows][improves] = pick[improves] + lo
+        flipped[q_max - top : q_max + 1] = best[::-1]
         choices.append(choice)
-    return key, choices, ordered, width, prices, offsets
+    return flipped[q_max::-1], choices, ordered, width, prices, offsets
 
 
 def _exact_fills(
@@ -466,7 +471,7 @@ def fair_price_curve(
     q_cap = q_max if feasible_max is None else min(q_max, feasible_max)
 
     if method == "exact":
-        _check_exact_scale(sellers, q_cap)
+        _check_exact_scale(stocked, q_cap)
     if not stocked:  # no demand is feasible
         costs, fills = [], lambda: ([0], [], [], [])
     elif all(s.availability is None for s in stocked):

@@ -529,6 +529,19 @@ def test_greedy_curve_is_greedy_allocation_at_every_demand(market, block_cells):
         assert text == expected.summary()
 
 
+@given(small_markets(unlimited=True), st.sampled_from([1, 5, allocation_mod._DP_BLOCK_CELLS]))
+def test_dp_tables_are_the_upward_scan(market, block_cells):
+    # stock short of the horizon, sellers without stock between stocked ones
+    # and unlimited sellers: the rows cut at the reachable demand, the
+    # reversed keys and the merge across blocks of x give the scan's tables
+    sellers, q_max = market
+    with mock.patch.object(allocation_mod, "_DP_BLOCK_CELLS", block_cells):
+        key, choices, *_ = allocation_mod._dp_tables(sellers, q_max)
+    expected_keys, expected_choices = scan_dp_tables(sellers, q_max)
+    assert [k if k < allocation_mod._INF else None for k in key.tolist()] == expected_keys
+    assert [c.tolist() for c in choices] == expected_choices
+
+
 @given(small_markets(unlimited=True), st.randoms(use_true_random=False))
 def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng):
     # whichever point is read first walks the choices back for all of them;
@@ -654,6 +667,19 @@ def test_unlimited_costs_beyond_int64_stay_exact():
         assert curve.allocation(point.q) == expected
     with pytest.raises(ValueError, match="cost scale too large for the exact solver"):
         fair_price_curve(sellers, 160)
+
+
+def test_sellers_without_stock_leave_the_cost_scale_as_it_was():
+    # the DP's key width counts only the sellers with stock, and so does the
+    # cost-scale check: 2,000 sold-out sellers refuse nothing the seller alone builds
+    rich = Seller("R", TabularCurve(((1, 1 << 50),)), availability=10)
+    sold_out = [Seller(f"Z{i:04d}", linear_curve(5, 0, 5), availability=0) for i in range(2000)]
+    for method in ("exact", "greedy"):
+        alone = fair_price_curve([rich], 20, method=method)
+        crowd = fair_price_curve([*sold_out, rich], 20, method=method)
+        assert len(alone.points) == 10
+        assert crowd.points == alone.points
+        assert crowd.summaries() == alone.summaries()
 
 
 @st.composite
