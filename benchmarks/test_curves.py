@@ -9,6 +9,8 @@ Shapes:
   and the greedy sweep;
 - `lifecycle_sold_out`: the same market with every fifth seller sold out,
   which a curve build drops before any sweep;
+- `market`: 20 generated linear sellers, stock drawn from 10..30, demands to
+  100, the curve a `fair_market` join builds, for both methods;
 - `sold_out_crowd`: 2,000 sold-out sellers beside 3 unlimited ones, demands
   to 2,000; the round also reads `summaries()`, so it times the fills too.
 
@@ -19,7 +21,7 @@ once, as a smoke test.  Tier-1 (`testpaths = tests`) does not collect them.
 from dataclasses import replace
 
 import pytest
-from test_splits import lifecycle
+from test_splits import lifecycle, market
 
 from fair_engine.allocation import Seller, fair_price_curve
 from fair_engine.curves import linear_curve
@@ -30,7 +32,7 @@ def lifecycle_sold_out() -> tuple[list[Seller], int]:
     return [replace(s, availability=0) if i % 5 == 0 else s for i, s in enumerate(sellers)], q_max
 
 
-SHAPES = {"lifecycle": lifecycle, "lifecycle_sold_out": lifecycle_sold_out}
+SHAPES = {"lifecycle": lifecycle, "lifecycle_sold_out": lifecycle_sold_out, "market": market}
 
 
 @pytest.mark.parametrize("method", ["exact", "greedy"])

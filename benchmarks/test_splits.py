@@ -1,14 +1,17 @@
 """Split reads of a fair price curve, timed with pytest-benchmark.
 
-A curve builds its fills table once, on its first split read, so each round
-times that first read on a curve built fresh in the (untimed) setup:
+A curve keeps the fills of every demand once `summaries()` has read them,
+so each round times a read on a curve built fresh in the (untimed) setup:
 `summaries()` for the exact DP, envelope and greedy paths, and one exact
-`allocation(q)`, the read a fair's settlement makes.
+`allocation(q)` at the top demand and at a mid demand, the read a fair's
+settlement or `allocate --method exact` makes, which walks that demand alone.
 
 Shapes:
 - `north_star`: 200 tabular sellers, stock drawn from 0..40, demands to 2,000;
 - `lifecycle`: 50 generated linear sellers, stock drawn from 20..60, demands
-  to 300, the curve a `fair_lifecycle` settlement reads.
+  to 300, the curve a `fair_lifecycle` settlement reads;
+- `market`: 20 generated linear sellers, stock drawn from 10..30, demands to
+  100, the curve a `fair_market` join builds.
 
 Run with `python -m pytest benchmarks`; `--benchmark-disable` runs each case
 once, as a smoke test.  Tier-1 (`testpaths = tests`) does not collect them.
@@ -46,7 +49,13 @@ def lifecycle() -> tuple[list[Seller], int]:
     return [replace(s, availability=rng.randint(20, 60)) for s in population], 300
 
 
-SHAPES = {"north_star": north_star, "lifecycle": lifecycle}
+def market() -> tuple[list[Seller], int]:
+    rng = random.Random(100)
+    population = generate_sellers(PopulationSpec(n_sellers=20, seed=100))
+    return [replace(s, availability=rng.randint(10, 30)) for s in population], 100
+
+
+SHAPES = {"north_star": north_star, "lifecycle": lifecycle, "market": market}
 PATHS = {
     "exact": ("exact", False),
     "envelope": ("exact", True),  # no stock limit: both methods read the envelope
@@ -76,6 +85,15 @@ def test_summaries(benchmark, shape, path):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_first_exact_allocation(benchmark, shape):
     q = SHAPES[shape]()[1]
+    allocation = benchmark.pedantic(
+        lambda curve: curve.allocation(q), setup=fresh_curves(shape, "exact"), rounds=5
+    )
+    assert allocation.total_quantity == q
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_mid_demand_exact_allocation(benchmark, shape):
+    q = SHAPES[shape]()[1] // 2
     allocation = benchmark.pedantic(
         lambda curve: curve.allocation(q), setup=fresh_curves(shape, "exact"), rounds=5
     )

@@ -14,20 +14,21 @@ breaks marginal-cost arguments), so enumerating per-seller quantities is the
 sound route.  One DP sweep yields optima for every demand 1..q_max at once,
 which is what the fair-level price curve needs.
 
-A fair price curve of either method prices every demand from one sweep
+A fair price curve of either method costs every demand from one sweep
 over the sellers' memoized integer price tables: the lower envelope for
 both methods when no seller with stock has a limit, else the DP or a blocked
-rank-and-fill.  Its splits are one fills table for all demands, built on
-the first split read: the DP choices walked back, the envelope's sellers,
-or the greedy sweep run again.
+rank-and-fill.  The curve keeps only those integer costs; a price, a point
+record or a split is made when it is read.  The splits of a demand range
+are one fills table: the DP choice columns walked back, a slice of the
+envelope's sellers, or the greedy sweep run again from the range's start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import chain, islice, takewhile
+from functools import cached_property
+from itertools import chain, count, islice, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -118,7 +119,7 @@ class Allocation:
         return "+".join(f"{e.seller_id}:{e.quantity}" for e in self.entries)
 
 
-# every demand's split in one table, as `FairPriceCurve` describes
+# the splits of a demand range in one table, as `FairPriceCurve` describes
 Fills = tuple[Sequence[int], list[str], list[int], list[Cents]]
 
 
@@ -205,17 +206,17 @@ def _price_tables(
 
 
 def _greedy_takes(
-    flat: np.ndarray, caps: np.ndarray, offsets: np.ndarray, q_cap: int, step: int
+    flat: np.ndarray, caps: np.ndarray, offsets: np.ndarray, lo: int, hi: int, step: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The greedy fill of demands 1..q_cap as (rank, take) blocks of `step` demands.
+    """The greedy fill of demands lo..hi as (rank, take) blocks of `step` demands.
 
     At demand q a seller covers C = min(q, capacity); a stable argsort on
     the price at C ranks the sellers, so ties go to the lower id as in
     `greedy_allocation`; a cumsum of the ranked C, clipped to each C, gives
     take, the units drawn from each seller in rank order.
     """
-    for lo in range(1, q_cap + 1, step):
-        q = np.arange(lo, min(lo + step, q_cap + 1), dtype=np.int64)[:, None]
+    for start in range(lo, hi + 1, step):
+        q = np.arange(start, min(start + step, hi + 1), dtype=np.int64)[:, None]
         rank = np.argsort(flat[offsets + np.minimum(q, caps)], axis=1, kind="stable")
         cover = np.minimum(q, caps[rank])
         yield rank, np.clip(q - (np.cumsum(cover, axis=1) - cover), 0, cover)
@@ -238,7 +239,9 @@ def _fills_of(
     return starts, fill_ids, quantities, prices
 
 
-def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], Callable[[], Fills]]:
+def _greedy_costs(
+    sellers: Sequence[Seller], q_cap: int
+) -> tuple[list[Cents], Callable[[int, int], Fills]]:
     """Total cost of the greedy fill for every demand 1..q_cap, and its fills.
 
     The sweep reads the price tables of the `_stocked` sellers, in id order,
@@ -246,21 +249,20 @@ def _greedy_costs(sellers: Sequence[Seller], q_cap: int) -> tuple[list[Cents], C
     _DP_BLOCK_CELLS (demand, seller) cells; a demand's cost is the sum of
     take * price(take).  The arithmetic is int64 when sum(capacity *
     price(1)) fits and Python ints otherwise, so no cost scale is refused.
-    The fills run the same sweep again when first read, so a curve keeps
-    only its price tables, not a take per (demand, seller).
+    The fills of demands lo..hi run the same sweep again from lo, so a
+    curve keeps only its price tables, not a take per (demand, seller).
     """
     cost_bound = sum(s.capacity(q_cap) * s.curve.price_at(1) for s in sellers)
     dtype = np.int64 if cost_bound < (1 << 63) else object
     flat, caps, offsets = _price_tables(sellers, q_cap, dtype)
     step = max(1, _DP_BLOCK_CELLS // len(sellers))
     costs: list[Cents] = []
-    for rank, take in _greedy_takes(flat, caps, offsets, q_cap, step):
+    for rank, take in _greedy_takes(flat, caps, offsets, 1, q_cap, step):
         costs += (take * flat[offsets[rank] + take]).sum(axis=1).tolist()
 
-    @cache
-    def fills() -> Fills:
+    def fills(lo: int, hi: int) -> Fills:
         def by_id() -> Iterator[np.ndarray]:  # each take put back in id order
-            for rank, take in _greedy_takes(flat, caps, offsets, q_cap, step):
+            for rank, take in _greedy_takes(flat, caps, offsets, lo, hi, step):
                 block = np.empty_like(take)
                 np.put_along_axis(block, rank, take, axis=1)
                 yield block
@@ -358,30 +360,25 @@ def _dp_tables(
 
 
 def _exact_fills(
-    choices: list[np.ndarray],
-    ordered: Sequence[Seller],
-    prices: np.ndarray,
-    offsets: np.ndarray,
-    n: int,
-) -> Callable[[], Fills]:
-    """The fills of one exact curve, from one backward pass over its DP choices.
+    choices: list[np.ndarray], ordered: Sequence[Seller], prices: np.ndarray, offsets: np.ndarray
+) -> Callable[[int, int], Fills]:
+    """The fills of demands lo..hi of one exact curve, from one backward pass over its DP choices.
 
-    The walk takes the choice arrays of the `_stocked` sellers for demands
-    0..n together, sellers in reverse id order, each step one gather x =
-    choice[remaining] and remaining -= x, into a (sellers, n + 1) matrix
-    whose columns 1..n are the demands' quantities.
+    The walk takes the choice columns lo..hi of the `_stocked` sellers
+    together, sellers in reverse id order, each step one gather x =
+    choice[remaining] and remaining -= x, into a (sellers, hi - lo + 1)
+    matrix whose columns are the demands' quantities.
     """
     ids = [seller.id for seller in ordered]
 
-    @cache
-    def fills() -> Fills:
-        walked = np.empty((len(choices), n + 1), dtype=np.int32)
-        remaining = np.arange(n + 1, dtype=np.intp)  # the index type: no cast per gather
+    def fills(lo: int, hi: int) -> Fills:
+        walked = np.empty((len(choices), hi - lo + 1), dtype=np.int32)
+        remaining = np.arange(lo, hi + 1, dtype=np.intp)  # the index type: no cast per gather
         for choice, x in zip(reversed(choices), walked[::-1]):
             x[:] = choice[remaining]
             remaining -= x
         assert not remaining.any(), "the DP choices must cover every demand"
-        return _fills_of([walked[:, 1:].T], ids, prices, offsets)  # row q - 1 is demand q
+        return _fills_of([walked.T], ids, prices, offsets)  # row i is demand lo + i
 
     return fills
 
@@ -403,7 +400,28 @@ class FairPricePoint(NamedTuple):
 
     q: int
     cost_cents: Cents
-    price_cents: Fraction  # cost_cents / q, stored since a fair reads it on every join
+    price_cents: Fraction  # cost_cents / q
+
+
+class _Points(Sequence[FairPricePoint]):
+    """A curve's points, each record made when indexed; equal when the costs are."""
+
+    def __init__(self, curve: FairPriceCurve):
+        self._curve = curve
+
+    def __len__(self) -> int:
+        return len(self._curve.costs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        q = range(1, len(self) + 1)[index]  # an index off the curve raises IndexError
+        return FairPricePoint(q, self._curve.costs[q - 1], self._curve.price_at(q))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Points):
+            return NotImplemented
+        return self._curve.costs == other._curve.costs
 
 
 @dataclass(frozen=True)
@@ -414,40 +432,62 @@ class FairPriceCurve:
     which case the sweep stops at the requested q_max).  Unlike a single
     seller's curve this one may be non-monotone: once the cheapest seller's
     stock is exhausted the next allocation mixes in a pricier supplier.
-    `_fills()`, cached, gives every demand's split as one table (starts,
-    ids, quantities, prices): the fills run demand by demand, ids ascending
-    within a demand, and demand q's are entries starts[q - 1] to starts[q].
+
+    The curve holds only costs[q - 1], the least total cost of demand q in
+    integer cents.  `price_at(q)` makes cost / q on its first read of q and
+    keeps it; `points` makes a record when indexed.  `_fills(lo, hi)` gives
+    the splits of demands lo..hi as one table (starts, ids, quantities,
+    prices): the fills run demand by demand, ids ascending within a demand,
+    and demand lo + i's are entries starts[i] to starts[i + 1].  A split
+    read asks for its demand alone; `summaries()` asks for every demand and
+    keeps that table.
     """
 
-    points: tuple[FairPricePoint, ...]
+    costs: tuple[Cents, ...]
     q_feasible_max: int | None
-    _fills: Callable[[], Fills] = field(compare=False, repr=False)
+    _fills: Callable[[int, int], Fills] = field(compare=False, repr=False)
+    _prices: dict[int, Fraction] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @property
+    def points(self) -> Sequence[FairPricePoint]:
+        return _Points(self)
 
     def allocation(self, q: int) -> Allocation:
-        """The split behind demand q, built afresh from the curve's fills."""
-        self.price_at(q)  # refuses a demand off the curve
-        starts, ids, quantities, prices = self._fills()
-        lo, hi = starts[q - 1], starts[q]
-        fills = zip(ids[lo:hi], quantities[lo:hi], prices[lo:hi])
-        return _build_allocation(fills, q, self.points[q - 1].cost_cents)
+        """The split behind demand q, made afresh from the fills of q alone."""
+        self._check_demand(q)
+        _, ids, quantities, prices = self._fills(q, q)
+        return _build_allocation(zip(ids, quantities, prices), q, self.costs[q - 1])
+
+    @cached_property
+    def _every_fill(self) -> Fills:
+        return self._fills(1, len(self.costs))
 
     def summaries(self) -> list[str]:
         """Every point's `Allocation.summary()` text in demand order, with no `Allocation` built."""
-        starts, ids, quantities, _ = self._fills()
+        starts, ids, quantities, _ = self._every_fill
         text = [f"{seller_id}:{x}" for seller_id, x in zip(ids, quantities)]
         return ["+".join(text[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
-    def price_at(self, q: int) -> Fraction:
+    def _check_demand(self, q: int) -> None:
         _check_quantity(q)
-        if q > len(self.points):
-            raise ValueError(f"demand {q} beyond curve range 1..{len(self.points)}")
-        return self.points[q - 1].price_cents
+        if q > len(self.costs):
+            raise ValueError(f"demand {q} beyond curve range 1..{len(self.costs)}")
+
+    def price_at(self, q: int) -> Fraction:
+        """cost / q, made on the first read of demand q and kept for later reads."""
+        # only a checked demand is kept, and a plain int cannot be a bool or a float equal to one
+        price = self._prices.get(q) if type(q) is int else None
+        if price is None:
+            self._check_demand(q)
+            price = self._prices[q] = Fraction(self.costs[q - 1], q)
+        return price
 
     def is_monotone_non_increasing(self) -> bool:
-        return all(
-            b.cost_cents * a.q <= a.cost_cents * b.q
-            for a, b in zip(self.points, self.points[1:])
-        )
+        """Each price at most the one before, cost_{q+1} * q <= cost_q * (q + 1)."""
+        costs = self.costs
+        return all(b * q <= a * (q + 1) for q, a, b in zip(count(1), costs, costs[1:]))
 
 
 def fair_price_curve(
@@ -455,12 +495,13 @@ def fair_price_curve(
     q_max: int,
     method: str = "exact",
 ) -> FairPriceCurve:
-    """Sweep demands 1..q_max and record the total cost and price per demand.
+    """Sweep demands 1..q_max and record the least total cost of each demand.
 
     Every sweep sees the `_stocked` sellers; with none the curve is empty.
     When none of them has a stock limit both methods read `lower_envelope`;
     otherwise the exact method runs the DP and the greedy one
-    `_greedy_costs`.  The curve builds its fills on its first split read.
+    `_greedy_costs`.  The curve keeps the costs and a function that gives
+    the fills of a demand range when a split is read.
     """
     _check_quantity(q_max)
     if method not in ("exact", "greedy"):
@@ -473,7 +514,7 @@ def fair_price_curve(
     if method == "exact":
         _check_exact_scale(stocked, q_cap)
     if not stocked:  # no demand is feasible
-        costs, fills = [], lambda: ([0], [], [], [])
+        costs, fills = [], lambda lo, hi: ([0], [], [], [])
     elif all(s.availability is None for s in stocked):
         # Without stock limits one seller always suffices: prices are
         # non-increasing, so a*pA(a) + b*pB(b) >= (a+b)*min(pA(a+b),
@@ -482,10 +523,13 @@ def fair_price_curve(
         # the greedy fill takes every unit from that same seller.
         best = lower_envelope([(s.id, s.curve) for s in stocked], q_cap).points
         costs = [p.q * p.price_cents for p in best]
-        fills = cache(lambda: (  # one fill per demand
-            range(len(best) + 1), [p.seller_id for p in best], [p.q for p in best],
-            [p.price_cents for p in best],
-        ))
+
+        def fills(lo: int, hi: int) -> Fills:  # one fill per demand
+            part = best[lo - 1 : hi]
+            return (
+                range(len(part) + 1), [p.seller_id for p in part], [p.q for p in part],
+                [p.price_cents for p in part],
+            )
     elif method == "greedy":
         costs, fills = _greedy_costs(stocked, q_cap)
     else:
@@ -493,11 +537,8 @@ def fair_price_curve(
         # packed is cost*width + sellers used, so the cost is its quotient;
         # the curve ends before the first demand no split reaches
         costs = [packed // width for packed in takewhile(_INF.__gt__, key[1:].tolist())]
-        fills = _exact_fills(choices, ordered, prices, offsets, len(costs))
-    points = tuple(
-        FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
-    )
-    return FairPriceCurve(points, feasible_max, fills)
+        fills = _exact_fills(choices, ordered, prices, offsets)
+    return FairPriceCurve(tuple(costs), feasible_max, fills)
 
 
 @dataclass(frozen=True)
@@ -510,10 +551,10 @@ class OptimalPoint:
 
 def optimal_demand(curve: FairPriceCurve) -> OptimalPoint:
     """Scan for the least cost / q, cross-multiplied; on ties keep the smallest demand."""
-    if not curve.points:
+    if not curve.costs:
         raise ValueError("fair price curve is empty")
-    best = curve.points[0]
-    for point in curve.points[1:]:
-        if point.cost_cents * best.q < best.cost_cents * point.q:
-            best = point
-    return OptimalPoint(q_star=best.q, z_star_cents=best.price_cents)
+    best_q, best_cost = 1, curve.costs[0]
+    for q, cost in enumerate(curve.costs, start=1):
+        if cost * best_q < best_cost * q:
+            best_q, best_cost = q, cost
+    return OptimalPoint(q_star=best_q, z_star_cents=curve.price_at(best_q))

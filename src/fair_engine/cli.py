@@ -133,7 +133,7 @@ def cmd_curve(args) -> int:
     sellers = fileio.read_sellers_csv(args.curves)
     if args.fair:
         curve = fair_price_curve(sellers, args.q_max, method=args.method)
-        if not curve.points:
+        if not curve.costs:
             raise ValueError(
                 f"{args.curves}: no seller has stock, so the fair price curve is empty"
             )
@@ -287,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleDemandError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError, KeyError, TypeError, LifecycleError) as exc:
+    except (ValueError, OSError, LifecycleError) as exc:  # a bad input; a fault propagates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -281,7 +281,7 @@ def _prediction(
     curve: FairPriceCurve, optimal: OptimalPoint, demand: int, what_if: Sequence[int]
 ) -> PricePrediction:
     """The price at `demand` and at each what-if demand; None past the curve."""
-    n = len(curve.points)
+    n = len(curve.costs)
     prices = [curve.price_at(q) if 1 <= q <= n else None for q in (demand, *what_if)]
     return PricePrediction(
         demand=demand, current_price_cents=prices[0], optimal=optimal,
@@ -331,7 +331,7 @@ class Fair:
         key = (horizon, tuple(seller.availability for seller in sellers))
         if self._cached_outlook is None or self._cached_outlook[0] != key:
             curve = fair_price_curve(sellers, horizon)
-            optimal = optimal_demand(curve) if curve.points else None
+            optimal = optimal_demand(curve) if curve.costs else None
             self._cached_outlook = (key, curve, optimal)
         return self._cached_outlook[1:]
 
@@ -379,7 +379,8 @@ class Fair:
 
         Ends by time when `now` reaches the deadline (inclusive); ends by
         optimal price when the aggregated demand has reached the optimal
-        point and the current price equals the optimal price exactly.
+        point and the current price equals the optimal price exactly,
+        compared as costs cross-multiplied by the demands.
         """
         if self.status is not FairStatus.RUNNING:
             return self.status
@@ -388,8 +389,9 @@ class Fair:
             self.status = FairStatus.ENDED_BY_TIME
         elif demand >= 1:
             curve, optimal = self._outlook(ledger.effective_sellers(self.sellers), demand)
-            if demand <= len(curve.points) and demand >= optimal.q_star and (
-                curve.price_at(demand) == optimal.z_star_cents
+            costs, q_star = curve.costs, optimal.q_star
+            if q_star <= demand <= len(costs) and (
+                costs[demand - 1] * q_star == costs[q_star - 1] * demand
             ):
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
         return self.status
@@ -414,7 +416,7 @@ class Fair:
         allocation, cost = None, 0
         if demand:
             curve, _ = self._outlook(ledger.effective_sellers(self.sellers), demand)
-            if demand > len(curve.points):
+            if demand > len(curve.costs):
                 raise InfeasibleDemandError(demand, curve.q_feasible_max)
             allocation = curve.allocation(demand)
             ledger.commit(allocation)

@@ -81,7 +81,12 @@ def cu_str(amount: Cents) -> str:
 
 def frac_str(value: Fraction | int, places: int = 4) -> str:
     """Render an exact cents value as a fixed-width CU decimal string."""
-    return _fixed_str(value.numerator, value.denominator * 100, places)
+    return per_unit_str(value.numerator, value.denominator, places)
+
+
+def per_unit_str(cost: Cents, q: int, places: int = 4) -> str:
+    """`frac_str` of cost / q (q > 0), with no Fraction made."""
+    return _fixed_str(cost, q * 100, places)
 
 
 def ratio_str(value: Fraction | int, places: int = 6) -> str:

@@ -161,9 +161,9 @@ def run_experiment(
     # the gap is greedy_cost/exact_cost - 1 (q cancels): keep the largest cost
     # ratio num/den, compared by cross-multiplying, starting from 1/1 (no gap)
     num, den = 1, 1
-    for pe, pg in zip(exact.points, greedy.points):
-        if pg.cost_cents * den > num * pe.cost_cents:
-            num, den = pg.cost_cents, pe.cost_cents
+    for cost_exact, cost_greedy in zip(exact.costs, greedy.costs):
+        if cost_greedy * den > num * cost_exact:
+            num, den = cost_greedy, cost_exact
     return ExperimentRun(
         availability=availability,
         curve_exact=exact,

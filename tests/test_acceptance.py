@@ -14,7 +14,6 @@ from oracles import brute_force_min_cost, first_minimum
 
 from fair_engine.allocation import (
     FairPriceCurve,
-    FairPricePoint,
     Seller,
     fair_price_curve,
     greedy_allocation,
@@ -129,14 +128,10 @@ def test_criterion_05_lowest_demand_tie_break():
             prices.extend([level] * rng.randint(1, 6))
             level = max(1, level + rng.randint(-400, 150))
         prices = prices[:40]
-        points = [
-            FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price))
-            for q, price in enumerate(prices, start=1)
-        ]
         curve = FairPriceCurve(
-            points=tuple(points),
+            costs=tuple(q * price for q, price in enumerate(prices, start=1)),
             q_feasible_max=40,
-            _fills=lambda: (range(41), ["X"] * 40, list(range(1, 41)), prices),
+            _fills=None,  # the optimum scan reads no split
         )
         best = optimal_demand(curve)
         expected_q, expected_price = first_minimum(prices)

@@ -290,21 +290,22 @@ class TestFairPriceCurve:
             lambda sellers, q: calls.append(q) or greedy(sellers, q),
         )
         blocks = allocation_mod._greedy_takes
-        monkeypatch.setattr(
-            allocation_mod, "_greedy_takes", lambda *args: sweeps.append(1) or blocks(*args)
+        monkeypatch.setattr(  # record each sweep's demand range lo..hi
+            allocation_mod, "_greedy_takes",
+            lambda *args: sweeps.append(args[3:5]) or blocks(*args),
         )
         sellers = two_capped_sellers()
         curve = fair_price_curve(sellers, 4, method="greedy")
         optimal_demand(curve)
         curve.price_at(3)
-        assert len(sweeps) == 1  # the build's cost sweep
-        assert curve._fills.cache_info().currsize == 0
+        assert sweeps == [(1, 4)]  # the build's cost sweep
         allocation = curve.allocation(3)
-        assert len(sweeps) == 2  # the first split read sweeps once more
+        assert sweeps == [(1, 4), (3, 3)]  # a split read sweeps its own demand alone
         texts = curve.summaries()
+        assert curve.summaries() == texts
+        assert sweeps == [(1, 4), (3, 3), (1, 4)]  # every demand's fills, swept once and kept
         later = [curve.allocation(point.q) for point in curve.points]
-        assert len(sweeps) == 2
-        assert curve._fills.cache_info().misses == 1
+        assert sweeps[3:] == [(1, 1), (2, 2), (3, 3), (4, 4)]
         assert calls == []
         assert allocation == later[2] == greedy(sellers, 3)
         assert texts == [greedy(sellers, point.q).summary() for point in curve.points]
@@ -312,21 +313,57 @@ class TestFairPriceCurve:
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     @pytest.mark.parametrize("unlimited", [False, True])
     def test_fills_are_built_once_on_the_first_split_read(self, unlimited, method):
-        # a capped market runs the DP or the greedy sweep, an unlimited one the envelope
+        # a capped market runs the DP or the greedy sweep, an unlimited one the envelope;
+        # the table of every demand is built once, on the first `summaries()` read, and a
+        # split read asks for its own demand alone, before and after that table exists
         sellers = [replace(s, availability=None) if unlimited else s for s in two_capped_sellers()]
-        curve = fair_price_curve(sellers, 4, method=method)
+        asked = []
+        built = fair_price_curve(sellers, 4, method=method)
+        curve = replace(built, _fills=lambda lo, hi: asked.append((lo, hi)) or built._fills(lo, hi))
         optimal_demand(curve)
         curve.price_at(3)
-        assert curve._fills.cache_info().currsize == 0
+        assert asked == []
+        first = curve.allocation(3)
+        assert asked == [(3, 3)]
         texts = curve.summaries()
+        assert curve.summaries() == texts
+        assert asked == [(3, 3), (1, 4)]
         allocations = [curve.allocation(point.q) for point in reversed(curve.points)][::-1]
-        assert curve._fills.cache_info().misses == 1
+        assert asked[2:] == [(4, 4), (3, 3), (2, 2), (1, 1)]
+        assert first == allocations[2]
         assert texts == [allocation.summary() for allocation in allocations]
         if unlimited:
             envelope = lower_envelope([(s.id, s.curve) for s in sellers], 4)
             assert [a.entries for a in allocations] == [
                 ((p.seller_id, p.q, p.price_cents),) for p in envelope.points
             ]
+
+    def test_points_and_prices_are_made_from_the_costs_when_read(self):
+        sellers = two_capped_sellers()
+        curve = fair_price_curve(sellers, 6)
+        assert curve.costs == tuple(brute_force_min_cost(sellers, q) for q in range(1, 5))
+        assert curve._prices == {}  # a build makes no price
+        assert curve.price_at(3) is curve.price_at(3)  # kept on the first read
+        assert list(curve._prices) == [3]
+        points = curve.points
+        assert len(points) == 4
+        assert points[1] == FairPricePoint(2, curve.costs[1], Fraction(curve.costs[1], 2))
+        assert points[-1] == points[3] == tuple(points)[3]
+        assert points[1:3] == (points[1], points[2])
+        assert [p.q for p in points[::-1]] == [4, 3, 2, 1]
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                points[index]
+        assert curve.price_at(3) is points[2].price_cents
+        for bad in (True, 3.0, Fraction(3), 0, 5):  # refused, though 1 and 3 are kept
+            with pytest.raises(ValueError):
+                curve.price_at(bad)
+        # two curves' points are equal when their costs are, and not otherwise
+        same = fair_price_curve(sellers, 4)
+        assert same.points == points and same == curve
+        shorter = fair_price_curve(sellers, 3)
+        assert shorter.points != points and shorter != curve
+        assert points != list(points)
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_a_split_off_the_curve_is_refused(self, method):
@@ -380,15 +417,10 @@ class TestFairPriceCurve:
 
 def _curve_from_prices(prices_cents):
     """Assemble a FairPriceCurve literal for optimum-scan tests."""
-    points = [
-        FairPricePoint(q=q, cost_cents=q * price, price_cents=Fraction(price))
-        for q, price in enumerate(prices_cents, start=1)
-    ]
-    n = len(points)
     return FairPriceCurve(
-        points=tuple(points),
-        q_feasible_max=n,
-        _fills=lambda: (range(n + 1), ["X"] * n, list(range(1, n + 1)), list(prices_cents)),
+        costs=tuple(q * price for q, price in enumerate(prices_cents, start=1)),
+        q_feasible_max=len(prices_cents),
+        _fills=None,  # the optimum scan reads no split
     )
 
 
@@ -425,7 +457,7 @@ class TestOptimalDemand:
 
     def test_rejects_empty_curve(self):
         with pytest.raises(ValueError):
-            optimal_demand(FairPriceCurve(points=(), q_feasible_max=0, _fills=None))
+            optimal_demand(FairPriceCurve(costs=(), q_feasible_max=0, _fills=None))
 
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=1, max_size=30)
@@ -433,13 +465,7 @@ class TestOptimalDemand:
     def test_integer_scans_agree_with_the_fraction_scans(self, draws):
         # costs p*q + b tie across demands often (1*2+2 and 2*2+0, say)
         costs = [p * q + b for q, (p, b) in enumerate(draws, start=1)]
-        curve = FairPriceCurve(
-            points=tuple(
-                FairPricePoint(q, cost, Fraction(cost, q)) for q, cost in enumerate(costs, start=1)
-            ),
-            q_feasible_max=None,
-            _fills=None,
-        )
+        curve = FairPriceCurve(costs=tuple(costs), q_feasible_max=None, _fills=None)
         prices = [Fraction(cost, q) for q, cost in enumerate(costs, start=1)]
         best = optimal_demand(curve)
         assert (best.q_star, best.z_star_cents) == first_minimum(prices)

@@ -13,6 +13,7 @@ import pytest
 from fair_engine import allocation, cli, synth
 from fair_engine.cli import main
 from fair_engine.curves import LinearPlateauCurve
+from fair_engine.money import frac_str
 
 AB_CROSSOVER = "A,linear,100,5,70\nB,linear,110,8,60\n"
 CAPPED = "A,linear,10,1,8,2\nB,linear,12,1,9,2\n"
@@ -248,6 +249,28 @@ class TestFairSim:
         assert settle["sellers_total"] == "300.00"
         assert settle["buyers_total"] == "315.0000"
         assert settle["manager_revenue"] == "15.0000"
+
+    def test_a_scenario_without_margin_or_discount_settles_at_the_defaults(self, tmp_path):
+        # margin 0.05 and fidelity discount 0.04 when the config leaves them out
+        scenario = base_scenario(
+            [
+                {"at": 10, "action": "join", "buyer_id": "b1", "quantity": 2,
+                 "max_wait": 5000, "fidelity": "1"},
+                {"at": 20, "action": "join", "buyer_id": "b2", "quantity": 3,
+                 "max_wait": 5000},
+            ]
+        )
+        del scenario["config"]["margin"]
+        assert "fidelity_discount" not in scenario["config"]
+        out = tmp_path / "sim"
+        assert main(["fair-sim", write_scenario(tmp_path, scenario), "--out", str(out)]) == 0
+        settle = json.loads((out / "events.jsonl").read_text().splitlines()[-1])
+        assert (settle["sellers_total"], settle["buyers_total"]) == ("300.00", "315.0000")
+        # each unit is 1.05 * cost * w / sum(q * w), with w = 1 - 0.04 * fidelity
+        weighted = 2 * Fraction(24, 25) + 3
+        units = [31500 * Fraction(24, 25) / weighted, 31500 / weighted]
+        assert [b["unit_price"] for b in settle["buyers"]] == [frac_str(u) for u in units]
+        assert [b["unit_price"] for b in settle["buyers"]] == ["61.4634", "64.0244"]
 
     def test_no_joins_ends_by_time_with_empty_settlement(self, tmp_path):
         scenario = base_scenario([])
@@ -632,3 +655,15 @@ def test_internal_invariant_breach_exits_4(ab_file, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "envelope", boom)
     assert main(["envelope", ab_file]) == 4
     assert "internal invariant breach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [KeyError("seller"), TypeError("unsupported operand")])
+def test_a_program_fault_is_not_reported_as_an_input_error(ab_file, monkeypatch, capsys, fault):
+    # exit 2 means a bad input; a KeyError or TypeError from inside a command is a fault
+    def fail(args):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "envelope", fail)
+    with pytest.raises(type(fault)):
+        main(["envelope", ab_file])
+    assert "error:" not in capsys.readouterr().err

@@ -103,6 +103,19 @@ class TestOpenFair:
         with pytest.raises(ValueError):
             open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
 
+    def test_opens_with_one_unit_left(self):
+        seller = flat_seller(10, availability=3)
+        ledger = SellerLedger([seller])
+        first = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
+        first.join(order("b1", 2), ledger=ledger)
+        first.check_end(first.deadline, ledger=ledger)
+        first.settle(ledger=ledger)
+        assert ledger.available(seller.id) == 1
+        second = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
+        assert second.status is FairStatus.RUNNING
+        second.join(order("b2", 1), ledger=ledger)
+        assert second.demand == 1
+
 
 class TestLedgerIsRequired:
     @pytest.mark.parametrize(
@@ -296,6 +309,20 @@ class TestCheckEnd:
         fair = SoloFair(interior_minimum_sellers(), FairConfig(max_duration=DAY))
         fair.join(order("b1", 4))  # 70 CU, not the 60 CU optimum
         assert fair.check_end(0.5 * DAY) is FairStatus.RUNNING
+
+    def test_demand_one_at_an_optimum_of_one_ends_the_fair(self):
+        # a flat price ties at every demand, so q* is 1 and one unit reaches it
+        fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
+        fair.join(order("b1", 1))
+        assert fair.predict().optimal.q_star == 1
+        assert fair.check_end(0.5 * DAY) is FairStatus.ENDED_BY_OPTIMAL_PRICE
+
+    def test_demand_taking_the_last_unit_at_the_optimum_ends_the_fair(self):
+        # prices fall to the last unit, so q* is the whole stock, the curve's end
+        fair = SoloFair([Seller("A", linear_curve(100, 10, 10), availability=3)],
+                        FairConfig(max_duration=DAY))
+        fair.join(order("b1", 3))
+        assert fair.check_end(0.5 * DAY) is FairStatus.ENDED_BY_OPTIMAL_PRICE
 
     def test_never_moves_backward(self):
         fair = SoloFair([flat_seller(10)], FairConfig(max_duration=DAY))
