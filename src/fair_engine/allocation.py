@@ -404,7 +404,7 @@ class FairPricePoint(NamedTuple):
 
 
 class _Points(Sequence[FairPricePoint]):
-    """A curve's points, each record made when indexed; equal when the costs are."""
+    """A curve's points, each record made when indexed."""
 
     def __init__(self, curve: FairPriceCurve):
         self._curve = curve
@@ -412,16 +412,9 @@ class _Points(Sequence[FairPricePoint]):
     def __len__(self) -> int:
         return len(self._curve.costs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
+    def __getitem__(self, index: int) -> FairPricePoint:
         q = range(1, len(self) + 1)[index]  # an index off the curve raises IndexError
         return FairPricePoint(q, self._curve.costs[q - 1], self._curve.price_at(q))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Points):
-            return NotImplemented
-        return self._curve.costs == other._curve.costs
 
 
 @dataclass(frozen=True)

@@ -389,9 +389,10 @@ class Fair:
             self.status = FairStatus.ENDED_BY_TIME
         elif demand >= 1:
             curve, optimal = self._outlook(ledger.effective_sellers(self.sellers), demand)
-            costs, q_star = curve.costs, optimal.q_star
-            if q_star <= demand <= len(costs) and (
-                costs[demand - 1] * q_star == costs[q_star - 1] * demand
+            costs = curve.costs
+            # an empty curve (no stock left) has no optimum: the fair keeps running
+            if demand <= len(costs) and optimal.q_star <= demand and (
+                costs[demand - 1] * optimal.q_star == costs[optimal.q_star - 1] * demand
             ):
                 self.status = FairStatus.ENDED_BY_OPTIMAL_PRICE
         return self.status

@@ -349,8 +349,7 @@ class TestFairPriceCurve:
         assert len(points) == 4
         assert points[1] == FairPricePoint(2, curve.costs[1], Fraction(curve.costs[1], 2))
         assert points[-1] == points[3] == tuple(points)[3]
-        assert points[1:3] == (points[1], points[2])
-        assert [p.q for p in points[::-1]] == [4, 3, 2, 1]
+        assert [p.q for p in reversed(points)] == [4, 3, 2, 1]
         for index in (4, -5):
             with pytest.raises(IndexError):
                 points[index]
@@ -358,12 +357,11 @@ class TestFairPriceCurve:
         for bad in (True, 3.0, Fraction(3), 0, 5):  # refused, though 1 and 3 are kept
             with pytest.raises(ValueError):
                 curve.price_at(bad)
-        # two curves' points are equal when their costs are, and not otherwise
+        # two curves are equal when their costs are, and not otherwise
         same = fair_price_curve(sellers, 4)
-        assert same.points == points and same == curve
+        assert tuple(same.points) == tuple(points) and same == curve
         shorter = fair_price_curve(sellers, 3)
-        assert shorter.points != points and shorter != curve
-        assert points != list(points)
+        assert tuple(shorter.points) != tuple(points) and shorter != curve
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_a_split_off_the_curve_is_refused(self, method):
@@ -704,7 +702,7 @@ def test_sellers_without_stock_leave_the_cost_scale_as_it_was():
         alone = fair_price_curve([rich], 20, method=method)
         crowd = fair_price_curve([*sold_out, rich], 20, method=method)
         assert len(alone.points) == 10
-        assert crowd.points == alone.points
+        assert crowd.costs == alone.costs
         assert crowd.summaries() == alone.summaries()
 
 
@@ -861,7 +859,7 @@ def test_adding_sellers_without_stock_changes_nothing(market, data):
         except ValueError as exc:
             return str(exc)
         splits = [curve.allocation(point.q) for point in curve.points]
-        return curve.points, curve.q_feasible_max, curve.summaries(), splits
+        return curve.costs, curve.q_feasible_max, curve.summaries(), splits
 
     for market_sellers in (sellers, [replace(s, availability=None) for s in sellers]):
         for method in ("exact", "greedy"):

@@ -676,6 +676,26 @@ class TestSellerLedger:
             fair.settle(ledger=ledger)
         assert err.value.shortfall == 2
 
+    def test_a_fair_whose_sellers_are_sold_out_runs_on_until_its_deadline(self):
+        # a rival settlement takes every unit: the fair's curve is empty and has
+        # no optimum, so it cannot end by price, and settling it finds no stock
+        seller = flat_seller(10, availability=5)
+        ledger = SellerLedger([seller])
+        fair = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
+        fair.join(order("b1", 2), ledger=ledger)
+
+        rival = open_fair("paper", [seller], FairConfig(max_duration=DAY), ledger=ledger)
+        rival.join(order("r1", 5), ledger=ledger)
+        rival.check_end(DAY, ledger=ledger)
+        rival.settle(ledger=ledger)
+
+        assert fair.check_end(0.5 * DAY, ledger=ledger) is FairStatus.RUNNING
+        assert fair.check_end(DAY, ledger=ledger) is FairStatus.ENDED_BY_TIME
+        with pytest.raises(InfeasibleDemandError) as err:
+            fair.settle(ledger=ledger)
+        assert err.value.shortfall == 2
+        assert ledger.committed("S1") == 5
+
     def test_failed_commit_leaves_ledger_unchanged(self):
         seller = flat_seller(10, availability=5)
         ledger = SellerLedger([seller])
