@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice, takewhile
+from itertools import count, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import PriceCurve, _check_quantity, lower_envelope
+from .curves import PriceCurve, _check_quantity, lower_envelope, price_tables
 from .geo import ORIGIN, Position
 from .money import Cents
 
@@ -195,14 +195,14 @@ def _price_tables(
     """Each seller's unit prices for x = 0..capacity, read once per curve build.
 
     The tables are laid end to end in one array: seller i's price for x is
-    flat[offsets[i] + x], for x = 0..capacities[i].  The array is filled
-    from each curve's memoized table, with no list copy beside it.
+    flat[offsets[i] + x], for x = 0..capacities[i].  The array joins slices
+    of each curve's `price_tables` table.
     """
-    caps = np.array([s.capacity(q_cap) for s in ordered], dtype=np.int64)
-    offsets = np.cumsum(caps + 1) - (caps + 1)
-    tables = (islice(s.curve._memo_table(c), c + 1) for s, c in zip(ordered, caps.tolist()))
-    flat = np.fromiter(chain.from_iterable(tables), dtype, int(caps.sum()) + len(ordered))
-    return flat, caps, offsets
+    caps = [s.capacity(q_cap) for s in ordered]
+    tables = price_tables([s.curve for s in ordered], caps)
+    flat = np.concatenate([table[: c + 1] for table, c in zip(tables, caps)], dtype=dtype)
+    caps = np.array(caps, dtype=np.int64)
+    return flat, caps, np.cumsum(caps + 1) - (caps + 1)
 
 
 def _greedy_takes(
@@ -367,11 +367,26 @@ def _exact_fills(
     The walk takes the choice columns lo..hi of the `_stocked` sellers
     together, sellers in reverse id order, each step one gather x =
     choice[remaining] and remaining -= x, into a (sellers, hi - lo + 1)
-    matrix whose columns are the demands' quantities.
+    matrix whose columns are the demands' quantities.  One demand alone
+    (lo == hi, a split read) takes the same steps on Python ints.
     """
     ids = [seller.id for seller in ordered]
+    starts = offsets.tolist()
 
     def fills(lo: int, hi: int) -> Fills:
+        if lo == hi:  # one demand: a walk in scalars, with no numpy call per seller
+            remaining, taken = lo, []
+            for i in range(len(choices) - 1, -1, -1):
+                x = choices[i].item(remaining)
+                if x:
+                    taken.append((i, x))
+                    remaining -= x
+            assert remaining == 0, "the DP choices must cover every demand"
+            taken.reverse()
+            return (
+                [0, len(taken)], [ids[i] for i, _ in taken], [x for _, x in taken],
+                [prices.item(starts[i] + x) for i, x in taken],
+            )
         walked = np.empty((len(choices), hi - lo + 1), dtype=np.int32)
         remaining = np.arange(lo, hi + 1, dtype=np.intp)  # the index type: no cast per gather
         for choice, x in zip(reversed(choices), walked[::-1]):

@@ -11,6 +11,10 @@ gets.  Two shapes are supported:
 
 The lower envelope across sellers is the pointwise cheapest curve, labelled
 with the seller that provides each quantity range.
+
+Sweeps read a curve as an integer price table from `price_tables`, which
+fills every short table of a call together (linear curves in one numpy
+pass) and keeps the longest on the curve as a read-only array.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 from operator import index as as_int
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ __all__ = [
     "linear_curve",
     "tabular_curve",
     "lower_envelope",
+    "price_tables",
 ]
 
 def _check_quantity(q: int) -> None:
@@ -52,26 +57,11 @@ def _check_quantity(q: int) -> None:
 class PriceCurve:
     """Common interface: `price_at(q)` returns the unit price in cents."""
 
-    _table: list[Cents] = []  # the longest table read so far; replaced, never mutated
+    # the longest table `price_tables` has made for the curve: read-only, replaced, never mutated
+    _table: np.ndarray = np.zeros(0, dtype=np.int64)
 
     def price_at(self, q: int) -> Cents:
         raise NotImplementedError
-
-    def _memo_table(self, x_max: int) -> list[Cents]:
-        """The curve's own prices for at least x = 0..x_max (x = 0 is priced 0): never mutate it.
-
-        A curve is immutable, so it keeps the longest table read so far.
-        The memo is swapped in one assignment, so reads on several threads
-        each see a whole table.
-        """
-        table = self._table
-        if len(table) <= x_max:
-            table = self._fresh_table(x_max)
-            object.__setattr__(self, "_table", table)
-        return table
-
-    def _fresh_table(self, x_max: int) -> list[Cents]:
-        return [0] + [self.price_at(x) for x in range(1, x_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -81,6 +71,9 @@ class LinearPlateauCurve(PriceCurve):
     `p1_cents` and `sat_cents` are integer cents; `rate` is an exact Fraction
     in CU per unit.  Evaluation happens in exact rational arithmetic and is
     rounded to the cent grid (ties to even), which preserves monotonicity.
+    The integers of that arithmetic are fixed at construction: over the
+    rate's denominator, the price starts at p1 * den, falls by the rate's
+    numerator * 100 per unit and stops at the plateau, sat * den.
     """
 
     p1_cents: Cents
@@ -96,31 +89,18 @@ class LinearPlateauCurve(PriceCurve):
             raise ValueError("saturation price cannot exceed the single-product price")
         if self.rate < 0:
             raise ValueError("discount rate cannot be negative")
+        den = self.rate.denominator
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_start", self.p1_cents * den)
+        object.__setattr__(self, "_step", self.rate.numerator * 100)  # rate in cents per unit
+        object.__setattr__(self, "_floor", self.sat_cents * den)
 
     def price_at(self, q: int) -> Cents:
         _check_quantity(q)
-        num = self.rate.numerator * 100  # rate in cents per unit
-        den = self.rate.denominator
-        value_num = self.p1_cents * den - num * (q - 1)
-        if value_num <= self.sat_cents * den:
+        value_num = self._start - self._step * (q - 1)
+        if value_num <= self._floor:
             return self.sat_cents
-        return div_round_half_even(value_num, den)
-
-    def _fresh_table(self, x_max: int) -> list[Cents]:
-        # price_at's arithmetic in one pass: the numerator falls by the rate
-        # per unit until the plateau, which fills the rest of the table
-        num = self.rate.numerator * 100
-        den = self.rate.denominator
-        floor = self.sat_cents * den
-        value_num = self.p1_cents * den
-        table = [0]
-        for x in range(1, x_max + 1):
-            if value_num <= floor:
-                table.extend([self.sat_cents] * (x_max + 1 - x))
-                break
-            table.append(div_round_half_even(value_num, den))
-            value_num -= num
-        return table
+        return div_round_half_even(value_num, self._den)
 
 
 @dataclass(frozen=True)
@@ -189,13 +169,85 @@ class Envelope:
     segments: tuple[EnvelopeSegment, ...]
 
 
+_FILL_BLOCK_CELLS = 1 << 18  # grid cells per numpy step, so temporaries stay bounded
+
+
+def price_tables(curves: Sequence[PriceCurve], x_max: int | Sequence[int]) -> list[np.ndarray]:
+    """Each curve's own prices for at least x = 0..x_max (x = 0 is priced 0).
+
+    `x_max` is one length for every curve or one per curve.  A curve is
+    immutable, so it keeps the longest table made so far, a read-only array
+    swapped in one assignment: reads on several threads each see a whole
+    table.  The curves whose table is too short are filled together: linear
+    curves in one pass over (curves, x) grids of at most _FILL_BLOCK_CELLS
+    cells, with `price_at`'s integers, any other curve from `price_at`.  A
+    table is int64, or Python ints (object) when its top price does not fit.
+    """
+    needs = [x_max] * len(curves) if isinstance(x_max, int) else x_max
+    tables = [curve._table for curve in curves]
+    short: dict[int, tuple[PriceCurve, int]] = {}  # a curve listed twice is filled once, to its longest
+    for curve, need, table in zip(curves, needs, tables):
+        if len(table) <= need and need > short.get(id(curve), (curve, -1))[1]:
+            short[id(curve)] = (curve, need)
+    if not short:
+        return tables
+    linear = [pair for pair in short.values() if isinstance(pair[0], LinearPlateauCurve)]
+    others = [(curve, _tabulated(curve, need)) for curve, need in short.values()
+              if not isinstance(curve, LinearPlateauCurve)]
+    filled = {}
+    for curve, table in chain(_linear_tables(linear), others):
+        table.flags.writeable = False
+        object.__setattr__(curve, "_table", table)
+        filled[id(curve)] = table
+    return [filled.get(id(curve), table) for curve, table in zip(curves, tables)]
+
+
+def _table_of(prices: Sequence[Cents] | np.ndarray, top: Cents) -> np.ndarray:
+    """A curve's own copy of its prices: int64 when the top price fits, else Python ints."""
+    return np.array(prices, dtype=np.int64 if top < (1 << 63) else object)
+
+
+def _tabulated(curve: PriceCurve, x_max: int) -> np.ndarray:
+    prices = [0] + [curve.price_at(x) for x in range(1, x_max + 1)]
+    return _table_of(prices, max(prices))
+
+
+def _linear_tables(
+    pending: Sequence[tuple[LinearPlateauCurve, int]],
+) -> Iterator[tuple[LinearPlateauCurve, np.ndarray]]:
+    """Each (curve, x_max)'s table from `price_at`'s arithmetic over (curves, x) grids.
+
+    The curves are taken longest first, so a grid's width is its first
+    curve's.  The arithmetic is int64 for the curves whose integers stay
+    below 2**62 at every x, and Python ints (object) for the rest.
+    """
+    by_width = sorted(pending, key=lambda pair: -pair[1])
+    narrow = [max(c._start, c._step * need, c._den) < (1 << 62) for c, need in by_width]
+    for dtype in (np.int64, object):
+        group = [pair for pair, fits in zip(by_width, narrow) if fits == (dtype is np.int64)]
+        start = 0
+        while start < len(group):
+            width = group[start][1] + 1
+            block = [curve for curve, _ in group[start : start + max(1, _FILL_BLOCK_CELLS // width)]]
+            start += len(block)
+            start_num, step, floor, den, sat = (
+                np.array(column, dtype=dtype)[:, None]
+                for column in zip(*((c._start, c._step, c._floor, c._den, c.sat_cents) for c in block))
+            )
+            value = start_num - step * np.arange(width - 1, dtype=dtype)  # x - 1 for x = 1..
+            grid = np.zeros((len(block), width), dtype=dtype)
+            grid[:, 1:] = np.where(value <= floor, sat, div_round_half_even(value, den))
+            for curve, row in zip(block, grid):
+                yield curve, _table_of(row, curve.p1_cents)
+
+
 def lower_envelope(sellers: Sequence[tuple[str, PriceCurve]], q_max: int) -> Envelope:
     """Compute the best single-seller price for every quantity 1..q_max.
 
-    The sellers' memoized price tables are scanned in id order, and each
-    keeps the quantities where it is strictly cheaper than every lower id,
-    so price ties go to the lowest id.  Prices are int64 when every
-    single-unit price fits, and Python ints otherwise.
+    The sellers' price tables are stacked in id order and reduced with one
+    argmin per block of quantities; argmin keeps the first minimum, so
+    price ties go to the lowest id.  Prices are int64 when every table is,
+    and Python ints otherwise.
     """
     if not sellers:
         raise ValueError("envelope needs at least one seller")
@@ -205,19 +257,19 @@ def lower_envelope(sellers: Sequence[tuple[str, PriceCurve]], q_max: int) -> Env
     if len(set(ids)) != len(ids):
         raise ValueError("seller ids must be unique")
 
-    tables = [curve._memo_table(q_max) for _, curve in ordered]
-    top = max(table[1] for table in tables)  # prices are non-increasing
-    dtype = np.int64 if top < (1 << 63) else object
-    best = np.zeros(q_max, dtype=dtype)
-    pick = np.zeros(q_max, dtype=np.intp)
-    for i, table in enumerate(tables):
-        prices = np.fromiter(islice(table, 1, q_max + 1), dtype, q_max)
-        cheaper = prices < best if i else slice(None)
-        best[cheaper] = prices[cheaper]
-        pick[cheaper] = i
+    tables = price_tables([curve for _, curve in ordered], q_max)
+    step = max(1, _FILL_BLOCK_CELLS // len(tables))
+    pick: list[int] = []
+    best: list[Cents] = []
+    for lo in range(1, q_max + 1, step):
+        hi = min(lo + step, q_max + 1)
+        stacked = np.stack([table[lo:hi] for table in tables])
+        cheapest = stacked.argmin(axis=0)
+        pick += cheapest.tolist()
+        best += stacked[cheapest, np.arange(hi - lo)].tolist()
     points = tuple(
         EnvelopePoint(q=q, seller_id=ids[i], price_cents=price)
-        for q, i, price in zip(range(1, q_max + 1), pick.tolist(), best.tolist())
+        for q, i, price in zip(range(1, q_max + 1), pick, best)
     )
 
     segments: list[EnvelopeSegment] = []

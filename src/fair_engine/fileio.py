@@ -23,7 +23,7 @@ from .allocation import Allocation, FairPriceCurve, Seller
 from .curves import Envelope, PriceCurve, _check_quantity, linear_curve, tabular_curve
 from .fair import BuyerHistory, BuyerOrder, FairConfig, PaymentTiming, Settlement, fidelity_score
 from .geo import COORDINATE_NOTE, ORIGIN, Position, ShippingPlan
-from .money import cu_str, frac_str, per_unit_str, ratio, ratio_str
+from .money import cu_str, frac_str, per_unit_column, ratio, ratio_str
 from .synth import RNG_ALGORITHM, ExperimentRun, PopulationSpec
 
 __all__ = [
@@ -159,8 +159,8 @@ def allocation_rows(allocation: Allocation) -> tuple[list[str], list[Row]]:
 def fair_curve_rows(curve: FairPriceCurve) -> tuple[list[str], list[Row]]:
     header = ["q", "z", "alloc_summary"]
     rows = [
-        [q, per_unit_str(cost, q), text]
-        for q, (cost, text) in enumerate(zip(curve.costs, curve.summaries()), start=1)
+        [q, z, text]
+        for q, (z, text) in enumerate(zip(per_unit_column(curve.costs), curve.summaries()), start=1)
     ]
     return header, rows
 
@@ -186,11 +186,11 @@ def experiment_curve_rows(run: ExperimentRun) -> tuple[list[str], list[Row]]:
     header = ["availability", "q", "z_exact", "z_greedy", "best_allocation"]
     avail = availability_label(run.availability)
     exact, greedy = run.curve_exact, run.curve_greedy
+    z_exact = per_unit_column(exact.costs)
+    z_greedy = z_exact if greedy is exact else per_unit_column(greedy.costs)
     rows = [
-        [avail, q, per_unit_str(cost_exact, q), per_unit_str(cost_greedy, q), text]
-        for q, (cost_exact, cost_greedy, text) in enumerate(
-            zip(exact.costs, greedy.costs, exact.summaries()), start=1
-        )
+        [avail, q, *cells]
+        for q, cells in enumerate(zip(z_exact, z_greedy, exact.summaries()), start=1)
     ]
     return header, rows
 

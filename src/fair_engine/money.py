@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 Cents = int
 
@@ -65,13 +68,16 @@ def ratio(value) -> Fraction:
     return Fraction(_to_decimal(value))
 
 
-def div_round_half_even(num: int, den: int) -> int:
-    """Banker's rounding of num/den (den > 0) to the nearest integer."""
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q % 2):
-        q += 1
-    return q
+def div_round_half_even(num, den):
+    """Banker's rounding of num/den (den > 0) to the nearest integer.
+
+    One expression without branches, so it gives an int for Python ints and
+    rounds int64 or object numpy arrays element by element (2 * den must
+    fit the array's type).
+    """
+    q = num // den
+    twice = 2 * (num - q * den)  # twice the remainder, num % den
+    return q + ((twice > den) | ((twice == den) & ((q & 1) == 1)))
 
 
 def cu_str(amount: Cents) -> str:
@@ -87,6 +93,23 @@ def frac_str(value: Fraction | int, places: int = 4) -> str:
 def per_unit_str(cost: Cents, q: int, places: int = 4) -> str:
     """`frac_str` of cost / q (q > 0), with no Fraction made."""
     return _fixed_str(cost, q * 100, places)
+
+
+def per_unit_column(costs: Sequence[Cents]) -> list[str]:
+    """`per_unit_str(costs[q - 1], q)` for every q = 1..len(costs), rounded in one array pass.
+
+    The arithmetic is int64 while |cost| * 10**4 stays below 2**62, and
+    Python ints (object) beyond.
+    """
+    scale = 10**4
+    top = max(max(costs, default=0), -min(costs, default=0))
+    dtype = np.int64 if top * scale < (1 << 62) else object
+    per_unit = np.arange(1, len(costs) + 1, dtype=dtype) * 100
+    digits = div_round_half_even(np.abs(np.array(costs, dtype=dtype)) * scale, per_unit)
+    return [
+        f"{'-' if cost < 0 else ''}{whole}.{part:04d}"
+        for cost, whole, part in zip(costs, (digits // scale).tolist(), (digits % scale).tolist())
+    ]
 
 
 def ratio_str(value: Fraction | int, places: int = 6) -> str:

@@ -37,8 +37,15 @@ from fair_engine.allocation import (
     optimal_demand,
     total_availability,
 )
-from fair_engine.curves import LinearPlateauCurve, TabularCurve, linear_curve, lower_envelope
+from fair_engine.curves import (
+    LinearPlateauCurve,
+    TabularCurve,
+    linear_curve,
+    lower_envelope,
+    tabular_curve,
+)
 from fair_engine.fileio import allocation_rows, fair_curve_rows, read_sellers_csv
+from fair_engine.synth import PopulationSpec, generate_sellers
 
 GOLDEN_CURVES = Path(__file__).parent / "data" / "golden" / "curves.csv"
 
@@ -583,6 +590,31 @@ def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng
             assert entry.unit_price_cents == by_id[entry.seller_id].curve.price_at(entry.quantity)
         assert alloc.total_quantity == point.q
         assert alloc.total_cost_cents == point.price_cents * point.q
+
+
+def tie_heavy_market() -> tuple[list[Seller], int]:
+    """Twelve sellers on three shared curves, so many splits tie on cost."""
+    pool = [linear_curve(20, "0.5", 10), linear_curve(20, "0.5", 10), tabular_curve([(1, 15), (4, 12)])]
+    return [Seller(f"S{i:02d}", pool[i % 3], availability=2 + i % 4) for i in range(12)], 45
+
+
+def lifecycle_market() -> tuple[list[Seller], int]:
+    """50 generated sellers with stock drawn from 20..60, demands to 300 (a `fair_lifecycle` fair)."""
+    rng = random.Random(300)
+    population = generate_sellers(PopulationSpec(n_sellers=50, seed=300))
+    return [replace(s, availability=rng.randint(20, 60)) for s in population], 300
+
+
+@pytest.mark.parametrize("market", [tie_heavy_market, lifecycle_market])
+def test_one_demand_walk_is_its_column_of_the_range_walk(market):
+    sellers, q_max = market()
+    curve = fair_price_curve(sellers, q_max)
+    starts, ids, quantities, prices = curve._fills(1, len(curve.costs))
+    for q in range(1, len(curve.costs) + 1):
+        lo, hi = starts[q - 1], starts[q]
+        column = (ids[lo:hi], quantities[lo:hi], prices[lo:hi])
+        assert curve._fills(q, q) == ([0, hi - lo], *column)
+        assert curve.allocation(q).entries == tuple(zip(*column))
 
 
 def test_exact_splits_read_first_on_several_threads_are_the_same():

@@ -3,17 +3,22 @@
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fair_engine import curves as curves_mod
 from fair_engine.curves import (
     LinearPlateauCurve,
     TabularCurve,
     linear_curve,
     lower_envelope,
+    price_tables,
     tabular_curve,
 )
+from fair_engine.synth import PopulationSpec, generate_sellers
 
 # Volume-discount bands for a stack of printer paper: 4.69 up to 9 units,
 # 4.19 up to 29, 3.69 up to 59, then 3.09.
@@ -155,10 +160,52 @@ def test_price_table_equals_price_at():
         LinearPlateauCurve(p1_cents=900, rate=Fraction(0), sat_cents=400),
         LinearPlateauCurve(p1_cents=400, rate=Fraction(0), sat_cents=400),
     ]
-    for curve in curves:
-        for x_max in (0, 1, 7, 300):
-            table = curve._memo_table(x_max)[: x_max + 1]
-            assert table == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+    curves += [LinearPlateauCurve(p1_cents=2**70, rate=Fraction(3, 7), sat_cents=2**69)]
+    # linear and tabular curves in one call, each table read-only and its own
+    for x_max in (0, 1, 7, 300):
+        tables = price_tables(curves, x_max)
+        assert len({id(table) for table in tables}) == len(curves)
+        for curve, table in zip(curves, tables):
+            assert not table.flags.writeable and table.base is None  # its own copy
+            assert table.dtype == (object if curve.price_at(1) >= 1 << 63 else np.int64)
+            assert table[: x_max + 1].tolist() == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+
+
+def test_price_tables_take_one_length_per_curve_and_fill_a_curve_listed_twice_once():
+    rng = random.Random(10)
+    curves = [_random_curve(rng) for _ in range(40)]
+    lengths = [rng.randint(0, 90) for _ in curves]
+    for curve, x_max, table in zip(curves, lengths, price_tables(curves, lengths)):
+        assert table[: x_max + 1].tolist() == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+    curve = tabular_curve(PAPER_STACK_BANDS)
+    first, second = price_tables([curve, curve], [30, 70])
+    assert first is second and len(first) == 71
+
+
+def test_small_fill_blocks_give_the_same_tables_and_envelope(monkeypatch):
+    # blocks of 7 cells: a grid of one curve at a time, an envelope column by column
+    rng = random.Random(17)
+    sellers = [(f"S{i:02d}", _random_curve(rng)) for i in range(12)]
+    expected = lower_envelope(sellers, 90)
+    fresh = [(sid, replace(curve)) for sid, curve in sellers]  # copies with no table yet
+    monkeypatch.setattr(curves_mod, "_FILL_BLOCK_CELLS", 7)
+    for (_, curve), table in zip(fresh, price_tables([c for _, c in fresh], 30)):
+        assert table.tolist() == [0] + [curve.price_at(q) for q in range(1, 31)]
+    assert lower_envelope(fresh, 90) == expected
+
+
+def test_a_fresh_linear_population_is_priced_without_price_at(monkeypatch):
+    population = generate_sellers(PopulationSpec(n_sellers=60, seed=27))
+    price_at = LinearPlateauCurve.price_at
+
+    def refused(self, q):
+        raise AssertionError("a linear table was filled from price_at")
+
+    monkeypatch.setattr(LinearPlateauCurve, "price_at", refused)
+    tables = price_tables([s.curve for s in population], 200)
+    monkeypatch.setattr(LinearPlateauCurve, "price_at", price_at)
+    for seller, table in zip(population, tables):
+        assert table.tolist() == [0] + [seller.curve.price_at(q) for q in range(1, 201)]
 
 
 class TestLowerEnvelope:
@@ -280,8 +327,8 @@ MEMO_CURVES = (
 def test_price_table_reads_in_any_order_equal_fresh_tables(make, order):
     curve = make()
     for x_max in order * 2:  # the second pass reads every length after the longest
-        table = curve._memo_table(x_max)[: x_max + 1]
-        assert table == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+        table = price_tables([curve], x_max)[0][: x_max + 1]
+        assert table.tolist() == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
 
 
 @pytest.mark.parametrize("make", MEMO_CURVES, ids=("linear", "tabular"))
@@ -304,7 +351,8 @@ def test_price_table_reads_on_several_threads_agree(make):
                 try:
                     start.wait(timeout=10)
                     for _ in range(5):
-                        seen.extend((x, curve._memo_table(x)[: x + 1]) for x in order)
+                        seen.extend((x, price_tables([curve], x)[0][: x + 1].tolist())
+                                    for x in order)
                 except Exception as exc:  # reported below, once every thread has stopped
                     errors.append(exc)
 

@@ -49,6 +49,11 @@ class TestSellerCsv:
         assert sellers["C"].availability is None
         assert sellers["C"].curve.price_at(3) == 7700  # 80 - 1.5*2
 
+    def test_a_tabular_row_without_an_availability_cell_is_unlimited(self):
+        (seller,) = parse_seller_rows([["T", "tabular", "1|5", "3|2"]])
+        assert seller.availability is None
+        assert [seller.curve.price_at(q) for q in (4, 5)] == [300, 200]
+
     def test_comments_and_blank_lines_are_skipped(self):
         rows = [["# header"], [], ["A", "linear", "10", "1", "5"]]
         sellers = parse_seller_rows(rows)
@@ -193,6 +198,16 @@ class TestExperimentConfig:
         assert config.n_sellers == 20 and config.q_max == 200
         assert config.availabilities == (None,)
 
+    def test_a_config_without_a_seed_draws_seed_zero(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("n_sellers = 5\n", encoding="utf-8")
+        assert read_experiment_config(str(path)).seed == 0
+
+    def test_the_least_seed_seller_count_and_demand_are_accepted(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 0\nn_sellers = 1\nq_max = 1\n", encoding="utf-8")
+        assert read_experiment_config(str(path)) == ExperimentConfig(n_sellers=1, seed=0, q_max=1)
+
     def test_a_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_bytes(b"\xef\xbb\xbfn_sellers = 5\nseed = 3\n")
@@ -289,6 +304,24 @@ class TestScenario:
         path.write_text(json.dumps({**SCENARIO, "config": {"margin": "0.1"}}), encoding="utf-8")
         config = read_scenario(str(path)).config
         assert config == FairConfig(margin=Fraction(1, 10))
+
+    def test_a_scenario_without_max_duration_runs_for_one_week(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, "config": {}}), encoding="utf-8")
+        assert read_scenario(str(path)).config.max_duration == 604_800
+
+    @pytest.mark.parametrize("left_out", ["purchases", "social_actions"])
+    def test_a_history_count_left_out_is_zero(self, tmp_path, left_out):
+        stated = {"purchases": 4, "social_actions": 9, left_out: 0}
+        omitted = {key: value for key, value in stated.items() if key != left_out}
+        fidelities = []
+        for i, history in enumerate((stated, omitted)):
+            events = [{"at": 10, "action": "join", "buyer_id": "b1", "quantity": 1,
+                       "max_wait": 100, "history": history}]
+            path = tmp_path / f"scenario{i}.json"
+            path.write_text(json.dumps({**SCENARIO, "events": events}), encoding="utf-8")
+            fidelities.append(read_scenario(str(path)).events[0].order.fidelity)
+        assert fidelities[0] == fidelities[1]
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "scenario.json"
