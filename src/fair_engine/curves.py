@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import index as as_int
 from typing import Iterable, Iterator, Sequence
@@ -71,9 +72,6 @@ class LinearPlateauCurve(PriceCurve):
     `p1_cents` and `sat_cents` are integer cents; `rate` is an exact Fraction
     in CU per unit.  Evaluation happens in exact rational arithmetic and is
     rounded to the cent grid (ties to even), which preserves monotonicity.
-    The integers of that arithmetic are fixed at construction: over the
-    rate's denominator, the price starts at p1 * den, falls by the rate's
-    numerator * 100 per unit and stops at the plateau, sat * den.
     """
 
     p1_cents: Cents
@@ -89,18 +87,24 @@ class LinearPlateauCurve(PriceCurve):
             raise ValueError("saturation price cannot exceed the single-product price")
         if self.rate < 0:
             raise ValueError("discount rate cannot be negative")
+
+    @cached_property
+    def _integers(self) -> tuple[int, int, int, int]:
+        """Over the rate's denominator den: p1 * den, the fall per unit, sat * den, and den.
+
+        Made on the first read rather than in `__post_init__`, so making a
+        curve costs no more than checking its fields.
+        """
         den = self.rate.denominator
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_start", self.p1_cents * den)
-        object.__setattr__(self, "_step", self.rate.numerator * 100)  # rate in cents per unit
-        object.__setattr__(self, "_floor", self.sat_cents * den)
+        return self.p1_cents * den, self.rate.numerator * 100, self.sat_cents * den, den
 
     def price_at(self, q: int) -> Cents:
         _check_quantity(q)
-        value_num = self._start - self._step * (q - 1)
-        if value_num <= self._floor:
+        top, fall, floor, den = self._integers
+        value_num = top - fall * (q - 1)
+        if value_num <= floor:
             return self.sat_cents
-        return div_round_half_even(value_num, self._den)
+        return div_round_half_even(value_num, den)
 
 
 @dataclass(frozen=True)
@@ -221,20 +225,21 @@ def _linear_tables(
     curve's.  The arithmetic is int64 for the curves whose integers stay
     below 2**62 at every x, and Python ints (object) for the rest.
     """
-    by_width = sorted(pending, key=lambda pair: -pair[1])
-    narrow = [max(c._start, c._step * need, c._den) < (1 << 62) for c, need in by_width]
-    for dtype in (np.int64, object):
-        group = [pair for pair, fits in zip(by_width, narrow) if fits == (dtype is np.int64)]
-        start = 0
-        while start < len(group):
-            width = group[start][1] + 1
-            block = [curve for curve, _ in group[start : start + max(1, _FILL_BLOCK_CELLS // width)]]
-            start += len(block)
-            start_num, step, floor, den, sat = (
+    groups: dict[type, list[tuple[LinearPlateauCurve, int]]] = {np.int64: [], object: []}
+    for curve, need in sorted(pending, key=lambda pair: -pair[1]):
+        top, fall, _, den = curve._integers
+        groups[np.int64 if max(top, fall * need, den) < (1 << 62) else object].append((curve, need))
+    for dtype, group in groups.items():
+        first = 0
+        while first < len(group):
+            width = group[first][1] + 1
+            block = [curve for curve, _ in group[first : first + max(1, _FILL_BLOCK_CELLS // width)]]
+            first += len(block)
+            top, fall, floor, den, sat = (
                 np.array(column, dtype=dtype)[:, None]
-                for column in zip(*((c._start, c._step, c._floor, c._den, c.sat_cents) for c in block))
+                for column in zip(*((*c._integers, c.sat_cents) for c in block))
             )
-            value = start_num - step * np.arange(width - 1, dtype=dtype)  # x - 1 for x = 1..
+            value = top - fall * np.arange(width - 1, dtype=dtype)  # x - 1 for x = 1..
             grid = np.zeros((len(block), width), dtype=dtype)
             grid[:, 1:] = np.where(value <= floor, sat, div_round_half_even(value, den))
             for curve, row in zip(block, grid):
