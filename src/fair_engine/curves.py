@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import index as as_int
 from typing import Iterable, Iterator, Sequence
@@ -88,19 +87,18 @@ class LinearPlateauCurve(PriceCurve):
         if self.rate < 0:
             raise ValueError("discount rate cannot be negative")
 
-    @cached_property
     def _integers(self) -> tuple[int, int, int, int]:
-        """Over the rate's denominator den: p1 * den, the fall per unit, sat * den, and den.
+        """`price_at`'s integers, over the rate's denominator den.
 
-        Made on the first read rather than in `__post_init__`, so making a
-        curve costs no more than checking its fields.
+        They are p1 * den, the fall per unit (the rate's numerator * 100),
+        sat * den and den.
         """
         den = self.rate.denominator
         return self.p1_cents * den, self.rate.numerator * 100, self.sat_cents * den, den
 
     def price_at(self, q: int) -> Cents:
         _check_quantity(q)
-        top, fall, floor, den = self._integers
+        top, fall, floor, den = self._integers()
         value_num = top - fall * (q - 1)
         if value_num <= floor:
             return self.sat_cents
@@ -189,7 +187,8 @@ def price_tables(curves: Sequence[PriceCurve], x_max: int | Sequence[int]) -> li
     """
     needs = [x_max] * len(curves) if isinstance(x_max, int) else x_max
     tables = [curve._table for curve in curves]
-    short: dict[int, tuple[PriceCurve, int]] = {}  # a curve listed twice is filled once, to its longest
+    # a curve listed twice is filled once, to its longest x_max
+    short: dict[int, tuple[PriceCurve, int]] = {}
     for curve, need, table in zip(curves, needs, tables):
         if len(table) <= need and need > short.get(id(curve), (curve, -1))[1]:
             short[id(curve)] = (curve, need)
@@ -225,24 +224,26 @@ def _linear_tables(
     curve's.  The arithmetic is int64 for the curves whose integers stay
     below 2**62 at every x, and Python ints (object) for the rest.
     """
-    groups: dict[type, list[tuple[LinearPlateauCurve, int]]] = {np.int64: [], object: []}
+    groups: dict[type, list] = {np.int64: [], object: []}  # (curve, x_max, its grid columns)
     for curve, need in sorted(pending, key=lambda pair: -pair[1]):
-        top, fall, _, den = curve._integers
-        groups[np.int64 if max(top, fall * need, den) < (1 << 62) else object].append((curve, need))
+        top, fall, floor, den = curve._integers()
+        fits = max(top, fall * need, den) < (1 << 62)
+        columns = (top, fall, floor, den, curve.sat_cents)
+        groups[np.int64 if fits else object].append((curve, need, columns))
     for dtype, group in groups.items():
         first = 0
         while first < len(group):
             width = group[first][1] + 1
-            block = [curve for curve, _ in group[first : first + max(1, _FILL_BLOCK_CELLS // width)]]
+            block = group[first : first + max(1, _FILL_BLOCK_CELLS // width)]
             first += len(block)
             top, fall, floor, den, sat = (
                 np.array(column, dtype=dtype)[:, None]
-                for column in zip(*((*c._integers, c.sat_cents) for c in block))
+                for column in zip(*(columns for _, _, columns in block))
             )
             value = top - fall * np.arange(width - 1, dtype=dtype)  # x - 1 for x = 1..
             grid = np.zeros((len(block), width), dtype=dtype)
             grid[:, 1:] = np.where(value <= floor, sat, div_round_half_even(value, den))
-            for curve, row in zip(block, grid):
+            for (curve, _, _), row in zip(block, grid):
                 yield curve, _table_of(row, curve.p1_cents)
 
 

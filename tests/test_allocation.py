@@ -594,12 +594,13 @@ def test_exact_splits_are_the_scan_at_every_demand_read_in_any_order(market, rng
 
 def tie_heavy_market() -> tuple[list[Seller], int]:
     """Twelve sellers on three shared curves, so many splits tie on cost."""
-    pool = [linear_curve(20, "0.5", 10), linear_curve(20, "0.5", 10), tabular_curve([(1, 15), (4, 12)])]
+    pool = [linear_curve(20, "0.5", 10), linear_curve(20, "0.5", 10),
+            tabular_curve([(1, 15), (4, 12)])]
     return [Seller(f"S{i:02d}", pool[i % 3], availability=2 + i % 4) for i in range(12)], 45
 
 
 def lifecycle_market() -> tuple[list[Seller], int]:
-    """50 generated sellers with stock drawn from 20..60, demands to 300 (a `fair_lifecycle` fair)."""
+    """50 generated sellers, stock drawn from 20..60, demands to 300: a `fair_lifecycle` fair."""
     rng = random.Random(300)
     population = generate_sellers(PopulationSpec(n_sellers=50, seed=300))
     return [replace(s, availability=rng.randint(20, 60)) for s in population], 300

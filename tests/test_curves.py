@@ -168,7 +168,8 @@ def test_price_table_equals_price_at():
         for curve, table in zip(curves, tables):
             assert not table.flags.writeable and table.base is None  # its own copy
             assert table.dtype == (object if curve.price_at(1) >= 1 << 63 else np.int64)
-            assert table[: x_max + 1].tolist() == [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+            expected = [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
+            assert table[: x_max + 1].tolist() == expected
 
 
 def test_price_tables_take_one_length_per_curve_and_fill_a_curve_listed_twice_once():

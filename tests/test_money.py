@@ -93,7 +93,8 @@ def divmod_round_half_even(num: int, den: int) -> int:
     return q
 
 
-@given(st.integers(-(10**40), 10**40) | st.integers(-50, 50), st.integers(1, 10**30) | st.integers(1, 8))
+@given(st.integers(-(10**40), 10**40) | st.integers(-50, 50),
+       st.integers(1, 10**30) | st.integers(1, 8))
 def test_half_even_rounding_of_python_ints_is_the_divmod_form(num, den):
     rounded = div_round_half_even(num, den)
     assert type(rounded) is int
@@ -128,7 +129,12 @@ def test_a_per_unit_column_is_per_unit_str_at_every_demand(costs):
 
 @pytest.mark.parametrize(
     "costs",
-    [[7, 2**59, -(10**15) - 1, 3 * 10**40 + 5, 123_456_789_050], [10**15 + 1, 5], [-(10**15) - 7], []],
+    [
+        [7, 2**59, -(10**15) - 1, 3 * 10**40 + 5, 123_456_789_050],
+        [10**15 + 1, 5],
+        [-(10**15) - 7],
+        [],
+    ],
 )
 def test_a_per_unit_column_beyond_the_int64_path_is_per_unit_str_at_every_demand(costs):
     # each list holds a cost whose |cost| * 10**4 is past 2**62, or none at all
