@@ -205,14 +205,12 @@ def price_tables(curves: Sequence[PriceCurve], x_max: int | Sequence[int]) -> li
     return [filled.get(id(curve), table) for curve, table in zip(curves, tables)]
 
 
-def _table_of(prices: Sequence[Cents] | np.ndarray, top: Cents) -> np.ndarray:
-    """A curve's own copy of its prices: int64 when the top price fits, else Python ints."""
-    return np.array(prices, dtype=np.int64 if top < (1 << 63) else object)
-
-
 def _tabulated(curve: PriceCurve, x_max: int) -> np.ndarray:
+    """A table from `price_at`; prices are non-increasing, so x = 1 holds the top price."""
     prices = [0] + [curve.price_at(x) for x in range(1, x_max + 1)]
-    return _table_of(prices, max(prices))
+    if x_max and prices[1] >= 1 << 63:
+        return np.array(prices, dtype=object)
+    return np.fromiter(prices, np.int64, x_max + 1)
 
 
 def _linear_tables(
@@ -224,12 +222,12 @@ def _linear_tables(
     curve's.  The arithmetic is int64 for the curves whose integers stay
     below 2**62 at every x, and Python ints (object) for the rest.
     """
-    groups: dict[type, list] = {np.int64: [], object: []}  # (curve, x_max, its grid columns)
+    groups: dict[type, list] = {np.int64: [], object: []}  # (curve, x_max, its parameters)
     for curve, need in sorted(pending, key=lambda pair: -pair[1]):
         top, fall, floor, den = curve._integers()
         fits = max(top, fall * need, den) < (1 << 62)
-        columns = (top, fall, floor, den, curve.sat_cents)
-        groups[np.int64 if fits else object].append((curve, need, columns))
+        params = (top, fall, floor, den, curve.sat_cents)
+        groups[np.int64 if fits else object].append((curve, need, params))
     for dtype, group in groups.items():
         first = 0
         while first < len(group):
@@ -238,13 +236,13 @@ def _linear_tables(
             first += len(block)
             top, fall, floor, den, sat = (
                 np.array(column, dtype=dtype)[:, None]
-                for column in zip(*(columns for _, _, columns in block))
+                for column in zip(*(params for _, _, params in block))
             )
             value = top - fall * np.arange(width - 1, dtype=dtype)  # x - 1 for x = 1..
             grid = np.zeros((len(block), width), dtype=dtype)
             grid[:, 1:] = np.where(value <= floor, sat, div_round_half_even(value, den))
-            for (curve, _, _), row in zip(block, grid):
-                yield curve, _table_of(row, curve.p1_cents)
+            for (curve, _, _), row in zip(block, grid):  # each curve's own copy of its row
+                yield curve, row.astype(np.int64 if curve.p1_cents < (1 << 63) else object)
 
 
 def lower_envelope(sellers: Sequence[tuple[str, PriceCurve]], q_max: int) -> Envelope:
