@@ -160,14 +160,18 @@ def test_price_table_equals_price_at():
         LinearPlateauCurve(p1_cents=900, rate=Fraction(0), sat_cents=400),
         LinearPlateauCurve(p1_cents=400, rate=Fraction(0), sat_cents=400),
     ]
-    curves += [LinearPlateauCurve(p1_cents=2**70, rate=Fraction(3, 7), sat_cents=2**69)]
+    curves += [
+        LinearPlateauCurve(p1_cents=2**70, rate=Fraction(3, 7), sat_cents=2**69),
+        TabularCurve(bands=((1, 2**63), (3, 2**63 - 1))),  # the first price past int64
+    ]
     # linear and tabular curves in one call, each table read-only and its own
     for x_max in (0, 1, 7, 300):
         tables = price_tables(curves, x_max)
         assert len({id(table) for table in tables}) == len(curves)
         for curve, table in zip(curves, tables):
             assert not table.flags.writeable and table.base is None  # its own copy
-            assert table.dtype == (object if curve.price_at(1) >= 1 << 63 else np.int64)
+            if x_max:  # a table of x = 0 alone holds no price
+                assert table.dtype == (object if curve.price_at(1) >= 1 << 63 else np.int64)
             expected = [0] + [curve.price_at(q) for q in range(1, x_max + 1)]
             assert table[: x_max + 1].tolist() == expected
 

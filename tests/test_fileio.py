@@ -15,6 +15,7 @@ from fair_engine.fileio import (
     ParseError,
     allocation_rows,
     envelope_rows,
+    experiment_curve_rows,
     parse_seller_rows,
     read_experiment_config,
     read_scenario,
@@ -23,6 +24,8 @@ from fair_engine.fileio import (
     write_rows,
     write_shipping_plan,
 )
+from fair_engine.money import per_unit_str
+from fair_engine.synth import PopulationSpec, generate_sellers, run_experiment
 
 CURVES_CSV = """\
 A,linear,100,2,60,5,0,0
@@ -147,6 +150,19 @@ class TestWriters:
         assert rows == [
             [3, "A", 2, "9.00", "10.0000"],
             [3, "B", 1, "12.00", "10.0000"],
+        ]
+
+    @pytest.mark.parametrize("availability", [None, 3])
+    def test_experiment_rows_print_each_curve_s_cost_per_unit(self, availability):
+        # at stock 3 the greedy curve costs more than the exact one at some demands
+        run = run_experiment(generate_sellers(PopulationSpec(n_sellers=8, seed=6)), availability, 20)
+        assert (run.max_greedy_gap > 0) == (availability is not None)
+        _, rows = experiment_curve_rows(run)
+        assert [row[2:4] for row in rows] == [
+            [per_unit_str(exact, q), per_unit_str(greedy, q)]
+            for q, (exact, greedy) in enumerate(
+                zip(run.curve_exact.costs, run.curve_greedy.costs), start=1
+            )
         ]
 
     def test_csv_and_json_formats(self):
